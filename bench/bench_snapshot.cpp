@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "chaos/soak.hpp"
+#include "chaos/sharded_storm.hpp"
 #include "common/check.hpp"
 #include "serve/serve_loop.hpp"
 #include "snapshot/io.hpp"
@@ -128,20 +128,13 @@ void run_report() {
 
   // --- recovery_fidelity (chaos): the storm harness's own mid-storm
   // snapshot rehearsal, digest-compared against the plain run.
-  chaos::StormParams storm;
-  storm.seed = 23;
-  storm.packets = 10'000;
-  storm.storm_start = milliseconds(10);
-  storm.storm_end = milliseconds(40);
-  storm.quiesce_at = milliseconds(60);
-  storm.run_until = milliseconds(110);
-  const chaos::StormReport plain = chaos::run_storm(storm);
-  chaos::StormParams rehearsed = storm;
-  rehearsed.restore_rehearsal = true;
-  const chaos::StormReport rehearsal = chaos::run_storm(rehearsed);
+  const chaos::ShardedStormParams storm = chaos::every_fault_storm(23, milliseconds(2));
+  const chaos::ShardedStormResult plain = chaos::run_storm(storm);
+  const chaos::ShardedStormResult rehearsal =
+      chaos::run_storm(storm, /*restore_rehearsal=*/true);
   const bool storm_match = plain.delivery_digest == rehearsal.delivery_digest &&
                            plain.drop_digest == rehearsal.drop_digest &&
-                           plain.events_dispatched == rehearsal.events_dispatched &&
+                           plain.events == rehearsal.events &&
                            plain.passed() && rehearsal.passed();
 
   const double bytes_per_switch =

@@ -289,7 +289,7 @@ int run(int argc, char** argv) {
     storm.shards = 1;
     auto timed = [&storm] {
       const auto start = std::chrono::steady_clock::now();
-      const chaos::ShardedStormResult result = chaos::run_sharded_storm(storm);
+      const chaos::ShardedStormResult result = chaos::run_storm(storm);
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
       return std::make_pair(result, wall);

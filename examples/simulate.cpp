@@ -218,7 +218,7 @@ int run(int argc, char** argv) {
     storm.packets_per_host =
         static_cast<int>(std::min<std::int64_t>(100000, storm.run_until / storm.packet_gap));
     const auto wall_start = std::chrono::steady_clock::now();
-    const chaos::ShardedStormResult result = chaos::run_sharded_storm(storm);
+    const chaos::ShardedStormResult result = chaos::run_storm(storm);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
     const double events_per_s =

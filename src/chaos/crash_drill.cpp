@@ -6,11 +6,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
-#include "chaos/storm_run.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "snapshot/io.hpp"
@@ -18,38 +16,26 @@
 namespace quartz::chaos {
 namespace {
 
-/// Drive `run` one event at a time, writing a checkpoint every
-/// `every` dispatched events, until `stop_after` events have run (or
-/// the queue drains).  Returns the last checkpoint sequence written.
-std::uint64_t drive_with_checkpoints(StormRun& run, const StormParams& storm,
-                                     const std::string& dir, std::uint64_t every,
-                                     std::uint64_t stop_after) {
-  std::uint64_t sequence = 0;
-  std::uint64_t next_checkpoint = every;
-  while (run.events_dispatched() < stop_after && run.step(storm.run_until)) {
-    if (run.events_dispatched() >= next_checkpoint) {
-      snapshot::Writer writer;
-      run.save(writer);
-      ++sequence;
-      snapshot::write_file_atomic(snapshot::checkpoint_path(dir, sequence), writer, sequence);
-      next_checkpoint = run.events_dispatched() + every;
-    }
-  }
-  return sequence;
-}
-
-[[noreturn]] void child_body(const CrashDrillParams& params, std::uint64_t kill_after) {
+[[noreturn]] void child_body(const CrashDrillParams& params, TimePs kill_at) {
   // The child is about to die without unwinding; if anything throws
   // before the kill, die loudly instead of running parent cleanup.
   try {
-    StormRun run(params.storm);
+    ShardedStormRun run(params.storm);
     run.arm();
-    drive_with_checkpoints(run, params.storm, params.checkpoint_dir,
-                           params.checkpoint_every_events, kill_after);
+    std::uint64_t sequence = 0;
+    for (TimePs t = params.checkpoint_every; t < kill_at; t += params.checkpoint_every) {
+      run.run_to(t);
+      snapshot::Writer writer;
+      run.save(writer);
+      ++sequence;
+      snapshot::write_file_atomic(snapshot::checkpoint_path(params.checkpoint_dir, sequence),
+                                  writer, sequence);
+    }
+    run.run_to(kill_at);
   } catch (...) {
     _exit(97);
   }
-  // Process death at an event boundary: no destructor, no flush, no
+  // Process death at a window barrier: no destructor, no flush, no
   // atexit — exactly what a power cut or OOM kill looks like.
   raise(SIGKILL);
   _exit(98);  // unreachable
@@ -59,8 +45,9 @@ std::uint64_t drive_with_checkpoints(StormRun& run, const StormParams& storm,
 
 std::string CrashDrillReport::summary() const {
   std::ostringstream os;
-  os << "crash drill seed=" << reference.seed << " killed_after=" << kill_after_events
-     << " checkpoints=" << checkpoints_written << " restored_from=" << restored_sequence
+  os << "crash drill seed=" << reference.seed << " shards=" << reference.shards
+     << " killed_at_ps=" << kill_at << " checkpoints=" << checkpoints_written
+     << " restored_from=" << restored_sequence
      << " digests=" << (digests_match ? "match" : "MISMATCH")
      << " invariants=" << (recovered.passed() ? "pass" : "FAIL")
      << (passed() ? " PASS" : " FAIL");
@@ -69,33 +56,25 @@ std::string CrashDrillReport::summary() const {
 
 CrashDrillReport run_crash_drill(const CrashDrillParams& params) {
   QUARTZ_REQUIRE(!params.checkpoint_dir.empty(), "crash drill needs a checkpoint directory");
-  QUARTZ_REQUIRE(params.checkpoint_every_events > 0, "checkpoint cadence must be positive");
-  QUARTZ_REQUIRE(0.0 < params.kill_fraction_lo && params.kill_fraction_lo <
-                     params.kill_fraction_hi && params.kill_fraction_hi < 1.0,
-                 "kill fractions must satisfy 0 < lo < hi < 1");
+  QUARTZ_REQUIRE(params.checkpoint_every > 0, "checkpoint cadence must be positive");
   std::filesystem::create_directories(params.checkpoint_dir);
 
   CrashDrillReport report;
+  report.reference = run_storm(params.storm);
 
-  // Reference: the uninterrupted run, and the event-count total the
-  // kill boundary is drawn from.
-  {
-    StormRun reference(params.storm);
-    reference.arm();
-    report.reference = reference.finish();
-  }
+  // The kill lands uniformly in the middle 60% of the storm window,
+  // seeded by the storm so the drill is reproducible.
+  const ShardedStormParams& storm = params.storm;
+  Rng kill_rng(storm.seed ^ 0x4B494C4Cull);  // "KILL"
+  const TimePs window = storm.storm_end - storm.storm_start;
+  report.kill_at = storm.storm_start + window / 5 +
+                   static_cast<TimePs>(kill_rng.next_double() * 0.6 * static_cast<double>(window));
 
-  Rng kill_rng(params.storm.seed ^ 0x4B494C4Cull);  // "KILL"
-  const double fraction = params.kill_fraction_lo +
-                          (params.kill_fraction_hi - params.kill_fraction_lo) *
-                              kill_rng.next_double();
-  report.kill_after_events = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             fraction * static_cast<double>(report.reference.events_dispatched)));
-
+  // The reference run's workers are joined by now, so the fork copies a
+  // single-threaded process.
   const pid_t pid = fork();
   QUARTZ_CHECK(pid >= 0, "fork failed");
-  if (pid == 0) child_body(params, report.kill_after_events);
+  if (pid == 0) child_body(params, report.kill_at);
 
   int status = 0;
   const pid_t reaped = waitpid(pid, &status, 0);
@@ -107,7 +86,7 @@ CrashDrillReport run_crash_drill(const CrashDrillParams& params) {
   // Recovery: newest intact checkpoint, else from scratch (a kill
   // before the first checkpoint is still a recoverable crash — the
   // run simply replays from time zero).
-  StormRun resumed(params.storm);
+  ShardedStormRun resumed(storm);
   auto reader = snapshot::load_latest_intact(params.checkpoint_dir, &report.warnings);
   if (reader.has_value()) {
     report.restored_sequence = reader->sequence();
@@ -120,9 +99,10 @@ CrashDrillReport run_crash_drill(const CrashDrillParams& params) {
   report.digests_match =
       report.recovered.delivery_digest == report.reference.delivery_digest &&
       report.recovered.drop_digest == report.reference.drop_digest &&
-      report.recovered.events_dispatched == report.reference.events_dispatched &&
-      report.recovered.delivered == report.reference.delivered &&
-      report.recovered.sent == report.reference.sent;
+      report.recovered.events == report.reference.events &&
+      report.recovered.deliveries == report.reference.deliveries &&
+      report.recovered.sent == report.reference.sent &&
+      report.recovered.fluid_digest == report.reference.fluid_digest;
   return report;
 }
 

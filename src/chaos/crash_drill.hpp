@@ -3,12 +3,12 @@
 // The checkpoint tests exercise save/restore cooperatively — the run
 // pauses, serializes, and resumes in the same process.  A crash drill
 // removes the cooperation: it forks a child that drives the same storm
-// while writing periodic checkpoints, then has the child SIGKILL
-// itself at a randomized event boundary in the middle of the storm
-// window (no destructors, no flushes, no warning — the closest a test
-// gets to a power cut).  The parent reaps the corpse, loads the newest
-// intact checkpoint from disk, resumes the storm in a fresh StormRun
-// and finishes it.
+// while writing periodic checkpoints at window barriers, then has the
+// child SIGKILL itself at a seeded simulated time in the middle of the
+// storm window (no destructors, no flushes, no warning — the closest a
+// test gets to a power cut).  The parent reaps the corpse, loads the
+// newest intact checkpoint from disk, resumes the storm in a fresh
+// ShardedStormRun and finishes it.  The drill works at any shard count.
 //
 // The verdict is strict: the recovered run's delivery and drop digests
 // must equal the uninterrupted reference run's bit for bit, and the
@@ -20,28 +20,23 @@
 #include <cstdint>
 #include <string>
 
-#include "chaos/soak.hpp"
+#include "chaos/sharded_storm.hpp"
 
 namespace quartz::chaos {
 
 struct CrashDrillParams {
-  StormParams storm;
+  ShardedStormParams storm;
   /// Directory for the child's periodic checkpoints (created if absent).
   std::string checkpoint_dir;
-  /// Checkpoint cadence in dispatched events.
-  std::uint64_t checkpoint_every_events = 20'000;
-  /// The kill boundary is drawn uniformly from this fraction range of
-  /// the reference run's total event count (seeded by storm.seed, so
-  /// the drill is reproducible).
-  double kill_fraction_lo = 0.2;
-  double kill_fraction_hi = 0.8;
+  /// Checkpoint cadence in simulated time.
+  TimePs checkpoint_every = microseconds(100);
 };
 
 struct CrashDrillReport {
-  StormReport reference;  ///< the uninterrupted run
-  StormReport recovered;  ///< the killed-and-restored run
+  ShardedStormResult reference;  ///< the uninterrupted run
+  ShardedStormResult recovered;  ///< the killed-and-restored run
 
-  std::uint64_t kill_after_events = 0;    ///< event boundary the child died at
+  TimePs kill_at = 0;                     ///< simulated time the child died at
   std::uint64_t checkpoints_written = 0;  ///< checkpoints found on disk
   std::uint64_t restored_sequence = 0;    ///< sequence resumed from (0 = from scratch)
   bool child_killed = false;              ///< child actually died of SIGKILL

@@ -1,15 +1,20 @@
 #include "chaos/sharded_storm.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
+#include "optical/budget.hpp"
 #include "routing/health_monitor.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "sim/probes.hpp"
+#include "sim/sweep.hpp"
 #include "snapshot/io.hpp"
 #include "topo/composite.hpp"
 
@@ -17,6 +22,13 @@ namespace quartz::chaos {
 namespace {
 
 constexpr std::uint32_t kTrafficTag = 1;
+
+/// The fixed-delay FailureView learns of each change this late (ten
+/// default probe intervals: BFD-scale detection).
+constexpr TimePs kFixedDetectionDelay = microseconds(50);
+/// Tail latency may exceed the pre-storm baseline by this fraction
+/// before the recovery invariant fails.
+constexpr double kLatencyTolerance = 0.25;
 
 /// Keyed PRF over (seed, domain, a, b): the workload's only source of
 /// randomness.  Pure function — every shard count derives the same
@@ -35,6 +47,7 @@ std::uint64_t prf(std::uint64_t seed, std::uint64_t domain, std::uint64_t a, std
 
 topo::BuiltTopology build_storm_topo(const ShardedStormParams& params) {
   if (params.composite.empty()) {
+    QUARTZ_REQUIRE(params.flat_switches >= 4, "storm fabric needs at least four switches");
     topo::QuartzRingParams ring;
     ring.switches = params.flat_switches;
     ring.hosts_per_switch = params.flat_hosts_per_switch;
@@ -57,9 +70,17 @@ std::vector<topo::LinkId> fault_mesh(const topo::BuiltTopology& topo) {
   return out;
 }
 
+/// Every fault is repaired strictly before this point.
+TimePs quiesce_at(const ShardedStormParams& params) {
+  return params.storm_end + (params.run_until - params.storm_end) / 2;
+}
+
 sim::SimConfig storm_sim_config(const ShardedStormParams& params) {
   sim::SimConfig config;
   config.corruption_seed = params.seed ^ 0x434F5252ull;  // "CORR"
+  if (params.mode == DetectionMode::kFixedDelay) {
+    config.failure_detection_delay = kFixedDetectionDelay;
+  }
   return config;
 }
 
@@ -91,11 +112,26 @@ TimePs uniform_time(Rng& rng, TimePs lo, TimePs hi) {
   return lo + static_cast<TimePs>(rng.next_below(static_cast<std::uint64_t>(hi - lo)));
 }
 
+/// Gray-failure drop probability from the optical plant: erode the
+/// ring's worst-case margin down to `residual_db` (negative = below
+/// sensitivity) and convert margin → Q → BER → per-packet loss.
+double gray_drop_probability(std::size_t ring_size, double residual_db, Bits packet_bits) {
+  optical::RingBudgetParams budget;
+  budget.ring_size = ring_size;
+  const optical::AmplifierPlan plan = optical::plan_ring_amplifiers(budget);
+  QUARTZ_CHECK(plan.feasible, "storm fabric has no feasible amplifier plan");
+  const double margin = optical::worst_case_margin_db(budget, plan);
+  const double extra = std::max(0.0, margin - residual_db);
+  return optical::degraded_drop_probability(budget, plan, extra,
+                                            static_cast<std::uint64_t>(packet_bits));
+}
+
 }  // namespace
 
 /// One shard of the storm: full control plane (oracle, monitor,
-/// probes, fault scheduler) over the whole graph, workload chains for
-/// the hosts it owns, and a record stream feeding the merged digest.
+/// probes, fault scheduler, fluid background) over the whole graph,
+/// workload chains for the hosts it owns, and a record stream feeding
+/// the merged digest.
 class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHandler {
  public:
   struct Rec {
@@ -103,7 +139,9 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
     std::uint64_t id = 0;
     std::uint64_t aux = 0;   ///< latency (delivery) or DropReason (drop)
     std::uint8_t kind = 0;   ///< 0 = delivery, 1 = drop
+    std::uint32_t hops = 0;  ///< switches crossed (deliveries; rides the padding)
   };
+  static_assert(sizeof(Rec) == 32, "the hop count must ride Rec's padding");
 
   StormShard(const ShardedStormParams& params, const topo::BuiltTopology& topo,
              const std::vector<topo::LinkId>& mesh, const routing::EcmpRouting& routing,
@@ -114,24 +152,44 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
         oracle_(routing),
         monitor_(topo.graph.link_count(), storm_monitor_config()),
         net_(topo, oracle_, storm_sim_config(params)),
-        probes_(net_, monitor_, storm_probe_options(params)),
         faults_(net_) {
     net_.bind_shard(ctx.binding);
-    oracle_.attach_failure_view(&monitor_.view());
-    oracle_.attach_loss_view(&monitor_);
+    if (params.mode == DetectionMode::kHealthMonitor) {
+      probes_ = std::make_unique<sim::ProbePlane>(net_, monitor_, storm_probe_options(params));
+      oracle_.attach_failure_view(&monitor_.view());
+      oracle_.attach_loss_view(&monitor_);
+    } else {
+      oracle_.attach_failure_view(&net_.failure_view());
+    }
     task_ = net_.new_task([this](const sim::Packet& p, TimePs latency) {
-      records_.push_back({net_.now(), p.id, static_cast<std::uint64_t>(latency), 0});
+      records_.push_back({net_.now(), p.id, static_cast<std::uint64_t>(latency), 0,
+                          static_cast<std::uint32_t>(p.hops)});
     });
     net_.add_drop_hook([this](const sim::Packet& p, sim::DropReason reason) {
-      records_.push_back({net_.now(), p.id, static_cast<std::uint64_t>(reason), 1});
+      records_.push_back({net_.now(), p.id, static_cast<std::uint64_t>(reason), 1, 0});
     });
+    if (params.hybrid_background) {
+      // Host i paired with its mirror: a pure function of the fabric,
+      // so every shard and every restored run builds the same demands.
+      const auto& hosts = topo.hosts;
+      std::vector<sim::FluidDemand> demands;
+      for (std::size_t i = 0; i + 1 < hosts.size(); i += 2) {
+        demands.push_back({hosts[i], hosts[hosts.size() - 1 - i], 2e9});
+      }
+      sim::FluidParams fluid_params;
+      fluid_params.mean_packet = params.packet_size;
+      fluid_ = std::make_unique<sim::FluidBackground>(net_, oracle_, std::move(demands),
+                                                      fluid_params);
+    }
   }
 
   sim::Network& network() override { return net_; }
   const std::vector<Rec>& records() const { return records_; }
+  int task() const { return task_; }
 
   void arm() {
-    probes_.start(mesh_);
+    if (probes_ != nullptr) probes_->start(mesh_);
+    if (fluid_ != nullptr) fluid_->arm();
 
     // Workload: one self-chained timer per OWNED host; schedule and
     // destinations are PRF-derived, so every shard count sees the
@@ -146,7 +204,7 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
     // same order on every shard yields identical fault timelines with
     // zero cross-shard coordination.
     Rng storm_rng(params_.seed ^ 0x53544F52ull);  // "STOR"
-    const TimePs quiesce = params_.storm_end + (params_.run_until - params_.storm_end) / 2;
+    const TimePs quiesce = quiesce_at(params_);
     auto window = [&](TimePs& fail_at, TimePs& repair_at) {
       fail_at = uniform_time(storm_rng, params_.storm_start, params_.storm_end);
       repair_at = uniform_time(storm_rng, fail_at + 1, quiesce);
@@ -171,6 +229,70 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
           std::min<TimePs>(6, (params_.storm_end - params_.storm_start) / (down + up)));
       if (cycles > 0) faults_.schedule_flapping(params_.storm_start, victim, down, up, cycles);
     }
+    for (int a = 0; a < params_.amplifier_failures; ++a) {
+      const std::size_t ring_size = topo_.quartz_rings.front().size();
+      const topo::FiberCut span{0, static_cast<int>(storm_rng.next_below(ring_size))};
+      const double residual = -2.2 - storm_rng.next_double();  // margin in [-3.2, -2.2] dB
+      const double p = gray_drop_probability(ring_size, residual, params_.packet_size);
+      TimePs fail_at = 0, repair_at = 0;
+      window(fail_at, repair_at);
+      faults_.schedule_amplifier_failure(fail_at, span, p, repair_at);
+    }
+    if (params_.poisson_churn) {
+      const double window_hours =
+          to_seconds(params_.storm_end - params_.storm_start) / 3600.0;
+      sim::PoissonFaultParams churn;
+      churn.failures_per_link_per_hour = 2.0 / window_hours;
+      churn.mean_repair_hours = window_hours / 256.0;
+      churn.start = params_.storm_start;
+      churn.stop = params_.storm_end;
+      faults_.run_poisson(churn, mesh_, Rng(params_.seed ^ 0x504F4953ull));  // "POIS"
+    }
+  }
+
+  /// Fault, detector and fluid counters of this control-plane replica.
+  void count_control_plane(ShardedStormResult& result) const {
+    result.cuts = faults_.cuts();
+    result.repairs = faults_.repairs();
+    result.degradations = faults_.degradations();
+    result.restorations = faults_.restorations();
+    result.probes = monitor_.probes();
+    result.missed_probes = monitor_.missed_probes();
+    result.deaths = monitor_.deaths();
+    result.revivals = monitor_.revivals();
+    result.damped_recoveries = monitor_.damped_recoveries();
+    if (fluid_ != nullptr) {
+      result.fluid_epochs = fluid_->epochs();
+      result.fluid_digest = fluid_->digest();
+    }
+  }
+
+  /// Invariant 3 on this replica: every link is physically healthy and
+  /// the detector agrees.  Appends one violation per disagreeing link,
+  /// unless an identical replica already reported it.
+  bool converged(std::vector<std::string>& violations) const {
+    bool ok = true;
+    auto violate = [&](topo::LinkId link, const std::string& what) {
+      ok = false;
+      std::string line = "convergence: link " + std::to_string(link) + " " + what;
+      if (std::find(violations.begin(), violations.end(), line) == violations.end()) {
+        violations.push_back(std::move(line));
+      }
+    };
+    for (const auto& link : topo_.graph.links()) {
+      const routing::LinkHealth physical = net_.link_health(link.id);
+      if (physical != routing::LinkHealth::kHealthy) {
+        violate(link.id, std::string("still physically ") + routing::link_health_name(physical) +
+                             " after quiescence");
+      } else if (probes_ != nullptr && monitor_.health(link.id) != physical) {
+        violate(link.id, std::string("seen as ") +
+                             routing::link_health_name(monitor_.health(link.id)) +
+                             ", physically healthy");
+      } else if (probes_ == nullptr && net_.failure_view().is_dead(link.id)) {
+        violate(link.id, "still dead in the fixed-delay view");
+      }
+    }
+    return ok;
   }
 
   void save(snapshot::Writer& w) const {
@@ -182,6 +304,7 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
       w.put_u64(rec.id);
       w.put_u64(rec.aux);
       w.put_u8(rec.kind);
+      w.put_u32(rec.hops);
     }
     w.end_chunk();
     w.begin_chunk(snapshot::chunk_id("FLTS"));
@@ -190,9 +313,18 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
     w.begin_chunk(snapshot::chunk_id("MONI"));
     monitor_.save(w);
     w.end_chunk();
-    w.begin_chunk(snapshot::chunk_id("PRBS"));
-    probes_.save(w);
-    w.end_chunk();
+    if (probes_ != nullptr) {
+      w.begin_chunk(snapshot::chunk_id("PRBS"));
+      probes_->save(w);
+      w.end_chunk();
+    }
+    if (fluid_ != nullptr) {
+      w.begin_chunk(snapshot::chunk_id("FLUI"));
+      fluid_->save(w);
+      w.end_chunk();
+    }
+    // The network chunk (the engine with every pending event) goes
+    // last: components first, then the queue that points back at them.
     w.begin_chunk(snapshot::chunk_id("NETW"));
     net_.save(w, handlers);
     w.end_chunk();
@@ -210,6 +342,7 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
       rec.id = r.get_u64();
       rec.aux = r.get_u64();
       rec.kind = r.get_u8();
+      rec.hops = r.get_u32();
       records_.push_back(rec);
     }
     r.close_chunk();
@@ -219,9 +352,16 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
     r.open_chunk(snapshot::chunk_id("MONI"));
     monitor_.restore(r);
     r.close_chunk();
-    r.open_chunk(snapshot::chunk_id("PRBS"));
-    probes_.restore(r);
-    r.close_chunk();
+    if (probes_ != nullptr) {
+      r.open_chunk(snapshot::chunk_id("PRBS"));
+      probes_->restore(r);
+      r.close_chunk();
+    }
+    if (fluid_ != nullptr) {
+      r.open_chunk(snapshot::chunk_id("FLUI"));
+      fluid_->restore(r);
+      r.close_chunk();
+    }
     r.open_chunk(snapshot::chunk_id("NETW"));
     net_.restore(r, handlers);
     r.close_chunk();
@@ -251,13 +391,16 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
     }
   }
 
-  /// Registration order is part of the snapshot contract (mirrors
-  /// StormRun::handler_map).
+  /// Handler registration order is part of the snapshot contract: the
+  /// engine serializes handler pointers as indices into this map, so
+  /// save and restore must build it identically (a pure function of
+  /// the params).
   sim::HandlerMap handler_map() const {
     sim::HandlerMap handlers;
-    handlers.probes.push_back(const_cast<sim::ProbePlane*>(&probes_));
+    if (probes_ != nullptr) handlers.probes.push_back(probes_.get());
     handlers.timers.push_back(const_cast<sim::FaultScheduler*>(&faults_));
     handlers.timers.push_back(const_cast<StormShard*>(this));
+    if (fluid_ != nullptr) handlers.timers.push_back(fluid_.get());
     return handlers;
   }
 
@@ -267,8 +410,12 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
   routing::EcmpOracle oracle_;
   routing::HealthMonitor monitor_;
   sim::Network net_;
-  sim::ProbePlane probes_;
+  /// Null in fixed-delay mode (no probe-driven detector).
+  std::unique_ptr<sim::ProbePlane> probes_;
   sim::FaultScheduler faults_;
+  /// Null unless params.hybrid_background.  Declared after net_ so its
+  /// bias vector detaches before the network dies.
+  std::unique_ptr<sim::FluidBackground> fluid_;
   int task_ = -1;
   std::vector<Rec> records_;
 };
@@ -279,13 +426,16 @@ ShardedStormRun::ShardedStormRun(const ShardedStormParams& params)
   QUARTZ_REQUIRE(params_.packets_per_host > 0 && params_.packet_gap > 0, "storm needs traffic");
   // A degenerate storm window (start == end) is a fault-free run — the
   // CLIs use it for pure-workload sharded execution.
-  const bool has_faults =
-      params_.cuts > 0 || params_.gray_links > 0 || params_.flapping_links > 0;
+  const bool has_faults = params_.cuts > 0 || params_.gray_links > 0 ||
+                          params_.flapping_links > 0 || params_.amplifier_failures > 0 ||
+                          params_.poisson_churn;
   QUARTZ_REQUIRE(0 <= params_.storm_start && params_.storm_start <= params_.storm_end &&
                      params_.storm_end < params_.run_until &&
                      (!has_faults || params_.storm_start < params_.storm_end),
                  "storm phases must be ordered: start < end < run_until");
   QUARTZ_CHECK(!mesh_.empty(), "storm fabric has no fault targets");
+  QUARTZ_REQUIRE(params_.amplifier_failures == 0 || !topo_.quartz_rings.empty(),
+                 "amplifier failures need a fabric with a Quartz ring");
   sim_ = std::make_unique<sim::ShardedSim>(
       sim::plan_partition(topo_, params_.shards),
       [this](const sim::ShardContext& ctx) -> std::unique_ptr<sim::Shard> {
@@ -319,6 +469,8 @@ void ShardedStormRun::save(snapshot::Writer& w) {
   w.put_i32(params_.packets_per_host);
   w.put_i64(params_.packet_gap);
   w.put_i64(params_.run_until);
+  w.put_u8(static_cast<std::uint8_t>(params_.mode));
+  w.put_u8(params_.hybrid_background ? 1 : 0);
   w.end_chunk();
   sim_->save_layout(w);
   sim_->visit([&w](int, sim::Shard& shard) { static_cast<StormShard&>(shard).save(w); });
@@ -335,7 +487,9 @@ void ShardedStormRun::restore(snapshot::Reader& r) {
                  "snapshot shard count mismatch: saved at shards=" + std::to_string(shards) +
                      ", restoring at shards=" + std::to_string(params_.shards));
   QUARTZ_REQUIRE(r.get_i32() == params_.packets_per_host && r.get_i64() == params_.packet_gap &&
-                     r.get_i64() == params_.run_until,
+                     r.get_i64() == params_.run_until &&
+                     r.get_u8() == static_cast<std::uint8_t>(params_.mode) &&
+                     r.get_u8() == (params_.hybrid_background ? 1 : 0),
                  "snapshot was taken from a different sharded storm");
   r.close_chunk();
   sim_->restore_layout(r);
@@ -346,17 +500,30 @@ ShardedStormResult ShardedStormRun::finish() {
   run_to(params_.run_until);
 
   ShardedStormResult result;
+  result.seed = params_.seed;
   result.shards = params_.shards;
   result.lookahead = sim_->plan().lookahead;
   result.strategy = sim_->plan().strategy;
+  result.hop_bound = static_cast<int>(topo_.graph.switches().size());
 
   std::vector<std::vector<StormShard::Rec>> streams(
       static_cast<std::size_t>(params_.shards));
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t task_drops = 0;
+  result.invariants.converged = true;
   sim_->visit([&](int shard, sim::Shard& s) {
     StormShard& storm = static_cast<StormShard&>(s);
     streams[static_cast<std::size_t>(shard)] = storm.records();
-    result.events += storm.network().events_processed();
-    result.mail_posted += storm.network().mail_posted();
+    const sim::Network& net = storm.network();
+    result.events += net.events_processed();
+    result.mail_posted += net.mail_posted();
+    result.sent += net.packets_sent();
+    delivered += net.packets_delivered();
+    dropped += net.packets_dropped();
+    task_drops += net.task_drops(storm.task());
+    if (shard == 0) storm.count_control_plane(result);
+    if (!storm.converged(result.violations)) result.invariants.converged = false;
   });
 
   // K-way merge by the engine's own total order, (time, stamp, kind):
@@ -370,6 +537,11 @@ ShardedStormResult ShardedStormRun::finish() {
     if (sa != sb) return sa < sb;
     return a.kind < b.kind;
   };
+  const TimePs quiesce = quiesce_at(params_);
+  const TimePs traffic_end = params_.packet_gap * params_.packets_per_host;
+  const TimePs tail_start = (quiesce + traffic_end) / 2;
+  RunningStats baseline_us;
+  RunningStats tail_us;
   std::vector<std::size_t> cursor(streams.size(), 0);
   std::vector<double> latencies;
   result.delivery_digest = 14695981039346656037ull;  // FNV-1a offset
@@ -394,6 +566,10 @@ ShardedStormResult ShardedStormRun::finish() {
     if (rec.kind == 0) {
       ++result.deliveries;
       latencies.push_back(static_cast<double>(rec.aux));
+      result.max_hops = std::max(result.max_hops, static_cast<int>(rec.hops));
+      const double latency_us = to_microseconds(static_cast<TimePs>(rec.aux));
+      if (rec.when < params_.storm_start) baseline_us.add(latency_us);
+      if (traffic_end > quiesce && rec.when >= tail_start) tail_us.add(latency_us);
     } else {
       ++result.drops;
     }
@@ -407,13 +583,115 @@ ShardedStormResult ShardedStormRun::finish() {
         static_cast<std::size_t>(0.99 * static_cast<double>(latencies.size() - 1));
     result.p99_latency_us = latencies[p99] * 1e-6;
   }
+
+  // Invariant 1: conservation, cross-checked against the networks.
+  const auto expected_sent =
+      static_cast<std::uint64_t>(topo_.hosts.size()) *
+      static_cast<std::uint64_t>(params_.packets_per_host);
+  result.invariants.conservation =
+      result.sent == expected_sent && delivered + dropped == result.sent &&
+      result.deliveries == delivered && result.drops == dropped && task_drops == dropped;
+  if (!result.invariants.conservation) {
+    std::ostringstream os;
+    os << "conservation: sent=" << result.sent << " (expected " << expected_sent
+       << ") delivered=" << delivered << " dropped=" << dropped << " (records "
+       << result.deliveries << "/" << result.drops << ", task drops " << task_drops << ")";
+    result.violations.push_back(os.str());
+  }
+
+  // Invariant 2: hop bound on every delivered packet.
+  result.invariants.hop_bound = result.max_hops <= result.hop_bound;
+  if (!result.invariants.hop_bound) {
+    result.violations.push_back("hop bound: a packet crossed " + std::to_string(result.max_hops) +
+                                " switches (bound " + std::to_string(result.hop_bound) + ")");
+  }
+
+  // Invariant 4: post-storm latency back to the pre-storm baseline.
+  result.baseline_mean_us = baseline_us.empty() ? 0.0 : baseline_us.mean();
+  result.tail_mean_us = tail_us.empty() ? 0.0 : tail_us.mean();
+  result.invariants.latency_recovered =
+      !baseline_us.empty() && !tail_us.empty() &&
+      result.tail_mean_us <= result.baseline_mean_us * (1.0 + kLatencyTolerance);
+  if (!result.invariants.latency_recovered) {
+    std::ostringstream os;
+    os << "latency recovery: baseline " << result.baseline_mean_us << " us (n="
+       << baseline_us.count() << "), tail " << result.tail_mean_us << " us (n="
+       << tail_us.count() << ")";
+    if (traffic_end <= quiesce) os << "; traffic ends before quiescence, no post-storm tail";
+    result.violations.push_back(os.str());
+  }
   return result;
 }
 
-ShardedStormResult run_sharded_storm(const ShardedStormParams& params) {
+std::string ShardedStormResult::summary() const {
+  std::ostringstream os;
+  os << "storm seed=" << seed << " shards=" << shards << " sent=" << sent
+     << " delivered=" << deliveries << " drops=" << drops << " cuts=" << cuts
+     << " degradations=" << degradations << " probes=" << probes << " deaths=" << deaths
+     << " damped=" << damped_recoveries << " max_hops=" << max_hops << "/" << hop_bound
+     << " latency_us=" << baseline_mean_us << "->" << tail_mean_us;
+  if (fluid_epochs > 0) os << " fluid_epochs=" << fluid_epochs;
+  os << (passed() ? " PASS" : " FAIL");
+  for (const std::string& v : violations) os << "\n  violated: " << v;
+  return os.str();
+}
+
+ShardedStormResult run_storm(const ShardedStormParams& params, bool restore_rehearsal) {
   ShardedStormRun run(params);
   run.arm();
-  return run.finish();
+  if (!restore_rehearsal) return run.finish();
+
+  // Rehearsal: drive to mid-storm, snapshot through an in-memory round
+  // trip (same validation path as a file), restore into a fresh run
+  // and finish there.
+  run.run_to(params.storm_start + (params.storm_end - params.storm_start) / 2);
+  snapshot::Writer writer;
+  run.save(writer);
+  std::string error;
+  auto reader = snapshot::Reader::from_bytes(snapshot::file_bytes(writer, 0), &error);
+  QUARTZ_CHECK(reader.has_value(), "mid-storm snapshot failed validation: " + error);
+  ShardedStormRun resumed(params);
+  resumed.restore(*reader);
+  return resumed.finish();
+}
+
+std::vector<ShardedStormResult> run_sweep(const ShardedStormParams& base, int storms, int jobs,
+                                          bool restore_rehearsal) {
+  QUARTZ_REQUIRE(storms > 0, "a sweep needs at least one storm");
+  // Seeds stay base.seed + i (not SweepRunner's derived seeds) so a
+  // nightly failure reproduces with the exact seed it printed.
+  std::vector<ShardedStormParams> points;
+  points.reserve(static_cast<std::size_t>(storms));
+  for (int i = 0; i < storms; ++i) {
+    ShardedStormParams params = base;
+    params.seed = base.seed + static_cast<std::uint64_t>(i);
+    points.push_back(params);
+  }
+  sim::SweepRunner runner(sim::SweepOptions{jobs, base.seed});
+  return runner.run(points, [restore_rehearsal](const ShardedStormParams& params) {
+    return run_storm(params, restore_rehearsal);
+  });
+}
+
+ShardedStormParams every_fault_storm(std::uint64_t seed, TimePs storm_length) {
+  ShardedStormParams params;
+  params.seed = seed;
+  params.composite.clear();  // a flat ring: the amplifier failure spans its ring 0
+  params.flat_switches = 8;
+  params.cuts = 3;
+  params.gray_links = 2;
+  params.flapping_links = 1;
+  params.amplifier_failures = 1;
+  params.poisson_churn = true;
+  params.storm_start = storm_length / 2;
+  params.storm_end = params.storm_start + storm_length;
+  params.run_until = params.storm_end + storm_length * 5 / 2;
+  // Traffic runs almost to the horizon, so the post-quiescence tail the
+  // latency-recovery invariant judges holds several hundred packets.
+  params.packet_gap = microseconds(10);
+  params.packets_per_host =
+      static_cast<int>((params.run_until - storm_length / 4) / params.packet_gap);
+  return params;
 }
 
 }  // namespace quartz::chaos

@@ -1,6 +1,6 @@
 // SLO-under-storm: chaos against a live, defended service loop.
 //
-// The soak storms (soak.hpp) batter a fire-and-forget packet workload;
+// The chaos storms (sharded_storm.hpp) batter a fire-and-forget packet workload;
 // this harness batters the serve stack instead — open-loop arrivals,
 // closed-loop admission, retry budgets and live re-grooming all on —
 // and judges *service-level* invariants at quiescence:
@@ -18,7 +18,7 @@
 //     storm window actually re-groomed the oracle (make-before-break
 //     commit, epoch bump) while packets were in the air.
 //
-// Like the soak storms, an SLO storm is a pure function of its seed.
+// Like the chaos storms, an SLO storm is a pure function of its seed.
 #pragma once
 
 #include <cstdint>

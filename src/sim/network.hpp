@@ -149,16 +149,10 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   /// each registered hook fires on every arrival, so independent
   /// observers never displace one another.
   void add_arrival_hook(ArrivalHook hook) { arrival_hooks_.push_back(std::move(hook)); }
-  [[deprecated("use add_arrival_hook")]] void set_arrival_hook(ArrivalHook hook) {
-    add_arrival_hook(std::move(hook));
-  }
 
   /// Add a hook observing every drop (with its reason).  Accumulates
   /// like add_arrival_hook.
   void add_drop_hook(DropHandler hook) { drop_hooks_.push_back(std::move(hook)); }
-  [[deprecated("use add_drop_hook")]] void set_drop_hook(DropHandler hook) {
-    add_drop_hook(std::move(hook));
-  }
 
   /// Inject a packet now.  `flow_id` identifies the flow for ECMP/VLB
   /// hashing (packets of one flow share a path); `tag` is carried

@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "chaos/crash_drill.hpp"
-#include "chaos/storm_run.hpp"
 #include "common/units.hpp"
 #include "snapshot/io.hpp"
 
@@ -18,14 +17,8 @@ namespace fs = std::filesystem;
 
 CrashDrillParams quick_drill(std::uint64_t seed, const std::string& dir) {
   CrashDrillParams params;
-  params.storm.seed = seed;
-  params.storm.packets = 10'000;
-  params.storm.storm_start = milliseconds(10);
-  params.storm.storm_end = milliseconds(40);
-  params.storm.quiesce_at = milliseconds(60);
-  params.storm.run_until = milliseconds(110);
+  params.storm = every_fault_storm(seed, microseconds(400));
   params.checkpoint_dir = dir;
-  params.checkpoint_every_events = 30'000;
   return params;
 }
 
@@ -40,6 +33,24 @@ TEST(CrashDrill, KilledChildRecoversBitExactly) {
   EXPECT_TRUE(report.recovered.passed()) << report.recovered.summary();
   EXPECT_TRUE(report.warnings.empty()) << report.warnings;
   EXPECT_TRUE(report.passed()) << report.summary();
+  fs::remove_all(dir);
+}
+
+TEST(CrashDrill, TwoShardStormRecoversBitExactly) {
+  // The drill checkpoints and kills at window barriers, so it works at
+  // any shard count: kill a 2-shard storm mid-storm and recover it.
+  const std::string dir = (fs::temp_directory_path() / "crash_drill_sharded").string();
+  fs::remove_all(dir);
+  CrashDrillParams params = quick_drill(17, dir);
+  params.storm.shards = 2;
+  const CrashDrillReport report = run_crash_drill(params);
+  EXPECT_EQ(report.recovered.shards, 2);
+  EXPECT_GT(report.recovered.mail_posted, 0u);
+  EXPECT_GT(report.kill_at, params.storm.storm_start);
+  EXPECT_LT(report.kill_at, params.storm.storm_end);
+  EXPECT_GT(report.restored_sequence, 0u);
+  EXPECT_TRUE(report.digests_match) << report.summary();
+  EXPECT_TRUE(report.passed()) << report.summary() << "\n" << report.recovered.summary();
   fs::remove_all(dir);
 }
 
@@ -67,7 +78,7 @@ TEST(CrashDrill, RecoversPastACorruptedNewestCheckpoint) {
   const std::string dir = (fs::temp_directory_path() / "crash_drill_corrupt").string();
   fs::remove_all(dir);
   CrashDrillParams params = quick_drill(11, dir);
-  params.checkpoint_every_events = 20'000;
+  params.checkpoint_every = microseconds(50);
   const CrashDrillReport clean = run_crash_drill(params);
   ASSERT_TRUE(clean.passed()) << clean.summary();
   ASSERT_GT(clean.checkpoints_written, 1u);
@@ -83,9 +94,9 @@ TEST(CrashDrill, RecoversPastACorruptedNewestCheckpoint) {
   EXPECT_LT(reader->sequence(), files.back().sequence);
   EXPECT_NE(warnings.find("rejected"), std::string::npos) << warnings;
 
-  StormRun resumed(params.storm);
+  ShardedStormRun resumed(params.storm);
   resumed.restore(*reader);
-  const StormReport report = resumed.finish();
+  const ShardedStormResult report = resumed.finish();
   EXPECT_EQ(report.delivery_digest, clean.reference.delivery_digest);
   EXPECT_EQ(report.drop_digest, clean.reference.drop_digest);
   EXPECT_TRUE(report.passed()) << report.summary();

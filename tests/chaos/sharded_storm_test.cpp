@@ -1,9 +1,9 @@
-// The tentpole acceptance tests for the parallel engine: a full chaos
-// storm (cuts + gray transceivers + flap damping) over a composed
-// fabric must produce BYTE-IDENTICAL delivery and drop digests at
-// every shard count, and a mid-storm checkpoint taken at a window
-// barrier must restore bit-exactly — but only at the shard count it
-// was saved with.
+// The acceptance tests for the parallel engine: a full chaos storm
+// (cuts + gray transceivers + flap damping) over a composed fabric
+// must produce BYTE-IDENTICAL delivery and drop digests at every shard
+// count, pinned to committed literals, and a mid-storm checkpoint
+// taken at a window barrier must restore bit-exactly — but only at the
+// shard count it was saved with.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -24,12 +24,12 @@ ShardedStormParams composite_params(std::uint64_t seed, int shards) {
 }
 
 TEST(ShardedStorm, CompositeDigestsMatchAtEveryShardCount) {
-  const ShardedStormResult serial = run_sharded_storm(composite_params(7, 1));
+  const ShardedStormResult serial = run_storm(composite_params(7, 1));
   EXPECT_GT(serial.deliveries, 0u);
   EXPECT_GT(serial.drops, 0u);  // the storm must actually bite
   EXPECT_EQ(serial.mail_posted, 0u);
 
-  const ShardedStormResult two = run_sharded_storm(composite_params(7, 2));
+  const ShardedStormResult two = run_storm(composite_params(7, 2));
   EXPECT_EQ(two.strategy, "composite");
   EXPECT_GT(two.mail_posted, 0u);
   EXPECT_EQ(two.delivery_digest, serial.delivery_digest);
@@ -37,23 +37,48 @@ TEST(ShardedStorm, CompositeDigestsMatchAtEveryShardCount) {
   EXPECT_EQ(two.deliveries, serial.deliveries);
   EXPECT_EQ(two.drops, serial.drops);
 
-  const ShardedStormResult eight = run_sharded_storm(composite_params(7, 8));
+  const ShardedStormResult eight = run_storm(composite_params(7, 8));
   EXPECT_EQ(eight.delivery_digest, serial.delivery_digest);
   EXPECT_EQ(eight.drop_digest, serial.drop_digest);
   EXPECT_EQ(eight.deliveries, serial.deliveries);
   EXPECT_EQ(eight.drops, serial.drops);
 }
 
-TEST(ShardedStorm, FlatRingSegmentsMatchSerial) {
+ShardedStormParams flat_params(std::uint64_t seed, int shards) {
   ShardedStormParams params;
-  params.seed = 11;
+  params.seed = seed;
   params.composite.clear();  // flat ring → ring-segment splitter
-  params.shards = 1;
-  const ShardedStormResult serial = run_sharded_storm(params);
+  params.shards = shards;
+  return params;
+}
+
+void expect_pinned(const ShardedStormResult& r, std::uint64_t delivery_digest,
+                   std::uint64_t drop_digest, std::uint64_t deliveries, std::uint64_t drops) {
+  SCOPED_TRACE(r.shards);
+  EXPECT_EQ(r.delivery_digest, delivery_digest);
+  EXPECT_EQ(r.drop_digest, drop_digest);
+  EXPECT_EQ(r.deliveries, deliveries);
+  EXPECT_EQ(r.drops, drops);
+}
+
+TEST(ShardedStorm, DigestsArePinnedAtEveryShardCount) {
+  // Committed literals: any change to the workload, the storm script,
+  // the control plane or the merge order shows up here as a diff.
+  for (const int shards : {1, 2, 8}) {
+    expect_pinned(run_storm(composite_params(7, shards)), 0x53166d8b3999d63full,
+                  0x24dfa148252b3401ull, 3783, 57);
+    expect_pinned(run_storm(flat_params(11, shards)), 0x75013eb4f0c2f03bull,
+                  0xa84dd13175ee7ea1ull, 1916, 4);
+  }
+}
+
+TEST(ShardedStorm, FlatRingSegmentsMatchSerial) {
+  ShardedStormParams params = flat_params(11, 1);
+  const ShardedStormResult serial = run_storm(params);
   EXPECT_GT(serial.deliveries, 0u);
 
   params.shards = 4;
-  const ShardedStormResult four = run_sharded_storm(params);
+  const ShardedStormResult four = run_storm(params);
   EXPECT_EQ(four.strategy, "ring-segment");
   EXPECT_GT(four.mail_posted, 0u);
   EXPECT_EQ(four.delivery_digest, serial.delivery_digest);
@@ -112,9 +137,36 @@ TEST(ShardedStorm, RestoreRefusesDifferentShardCount) {
   }
 }
 
+TEST(ShardedStorm, BenchShapedStormWithoutTailReportsInsteadOfThrowing) {
+  // The benchmark's storm (bench/suite, smoke size here) stops sending
+  // long before storm_end, so there is no post-storm tail.  The driver
+  // must accept it, and finish() reports latency recovery as violated
+  // instead of throwing.
+  ShardedStormParams params;
+  params.seed = 4242;
+  params.composite = "ring-of-rings:8x8@2";
+  params.shards = 2;
+  params.packets_per_host = 200;
+  params.packet_gap = microseconds(1);
+  params.cuts = 4;
+  params.gray_links = 4;
+  params.flapping_links = 2;
+  params.storm_start = microseconds(100);
+  params.storm_end = microseconds(400);
+  params.run_until = microseconds(500);
+  ShardedStormResult r;
+  ASSERT_NO_THROW(r = run_storm(params));
+  EXPECT_GT(r.deliveries, 0u);
+  EXPECT_TRUE(r.invariants.conservation) << r.summary();
+  EXPECT_TRUE(r.invariants.hop_bound) << r.summary();
+  EXPECT_FALSE(r.invariants.latency_recovered);
+  EXPECT_FALSE(r.passed());
+  EXPECT_NE(r.summary().find("no post-storm tail"), std::string::npos) << r.summary();
+}
+
 TEST(ShardedStorm, SeedChangesDigest) {
-  const ShardedStormResult a = run_sharded_storm(composite_params(1, 2));
-  const ShardedStormResult b = run_sharded_storm(composite_params(2, 2));
+  const ShardedStormResult a = run_storm(composite_params(1, 2));
+  const ShardedStormResult b = run_storm(composite_params(2, 2));
   EXPECT_NE(a.delivery_digest, b.delivery_digest);
 }
 

@@ -14,14 +14,13 @@
 //
 // Every storm is a pure function of its seed: rerun with the seed a
 // failing nightly printed and it reproduces bit for bit.
-#include "chaos/soak.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 
+#include "chaos/sharded_storm.hpp"
 #include "chaos/slo_storm.hpp"
 
 namespace quartz::chaos {
@@ -33,11 +32,19 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
 }
 
-void expect_sweep_passes(const StormParams& base, int storms) {
+/// A full-length storm: every fault class for 20 ms, drained to 80 ms.
+ShardedStormParams soak_params(DetectionMode mode) {
+  ShardedStormParams params =
+      every_fault_storm(env_u64("QUARTZ_CHAOS_SEED", 1), milliseconds(20));
+  params.mode = mode;
+  return params;
+}
+
+void expect_sweep_passes(const ShardedStormParams& base, int storms) {
   const int jobs = static_cast<int>(env_u64("QUARTZ_CHAOS_JOBS", 1));
-  const std::vector<StormReport> reports = run_sweep(base, storms, jobs);
+  const std::vector<ShardedStormResult> reports = run_sweep(base, storms, jobs);
   ASSERT_EQ(reports.size(), static_cast<std::size_t>(storms));
-  for (const StormReport& r : reports) {
+  for (const ShardedStormResult& r : reports) {
     std::cout << r.summary() << '\n';
     EXPECT_TRUE(r.passed()) << r.summary();
     EXPECT_EQ(r.cuts, r.repairs) << r.summary();
@@ -46,17 +53,13 @@ void expect_sweep_passes(const StormParams& base, int storms) {
 }
 
 TEST(ChaosSoak, HealthMonitorSweepHoldsAllInvariants) {
-  StormParams base;  // full-length default storm
-  base.seed = env_u64("QUARTZ_CHAOS_SEED", 1);
-  base.mode = DetectionMode::kHealthMonitor;
-  expect_sweep_passes(base, static_cast<int>(env_u64("QUARTZ_CHAOS_STORMS", 10)));
+  expect_sweep_passes(soak_params(DetectionMode::kHealthMonitor),
+                      static_cast<int>(env_u64("QUARTZ_CHAOS_STORMS", 10)));
 }
 
 TEST(ChaosSoak, FixedDelaySweepHoldsAllInvariants) {
-  StormParams base;
-  base.seed = env_u64("QUARTZ_CHAOS_SEED", 1);
-  base.mode = DetectionMode::kFixedDelay;
-  expect_sweep_passes(base, static_cast<int>(env_u64("QUARTZ_CHAOS_STORMS", 10)));
+  expect_sweep_passes(soak_params(DetectionMode::kFixedDelay),
+                      static_cast<int>(env_u64("QUARTZ_CHAOS_STORMS", 10)));
 }
 
 TEST(ChaosSoak, SloStormSweepReconfiguresMidChaosAndHoldsInvariants) {

@@ -246,13 +246,7 @@ TEST(Network, TwoDropSubscribersBothFire) {
   Network net(f.topo, *f.oracle, config);
   std::uint64_t first = 0;
   std::uint64_t second = 0;
-  // One subscriber arrives through the deprecated set_* shim on purpose:
-  // this is the regression test that keeps the shim appending (not
-  // replacing) until the last out-of-tree caller migrates to add_*.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  net.set_drop_hook([&first](const Packet&, DropReason) { ++first; });
-#pragma GCC diagnostic pop
+  net.add_drop_hook([&first](const Packet&, DropReason) { ++first; });
   net.add_drop_hook([&second](const Packet&, DropReason) { ++second; });
   const int task = net.new_task({});
   for (int i = 0; i < 50; ++i) {
@@ -265,7 +259,7 @@ TEST(Network, TwoDropSubscribersBothFire) {
 }
 
 TEST(Network, SinkAndHookCoexist) {
-  // A telemetry sink and a legacy hook observe the same events, and a
+  // A telemetry sink and an arrival hook observe the same events, and a
   // removed sink stops observing.
   struct CountingSink final : TelemetrySink {
     int arrivals = 0;
@@ -278,12 +272,8 @@ TEST(Network, SinkAndHookCoexist) {
   CountingSink sink;
   net.add_sink(&sink);
   int hook_arrivals = 0;
-  // The other shim also stays covered here, next to a modern sink.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  net.set_arrival_hook(
+  net.add_arrival_hook(
       [&hook_arrivals](const Packet&, topo::NodeId, TimePs) { ++hook_arrivals; });
-#pragma GCC diagnostic pop
   const int task = net.new_task({});
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   net.run_until(milliseconds(1));
