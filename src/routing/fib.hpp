@@ -1,8 +1,8 @@
 // Compiled forwarding plane.
 //
 // The oracles in routing/oracle.hpp answer per-packet questions by
-// re-deriving state every time: virtual dispatch, equal-cost span
-// filtering with a scratch vector, ring/mesh lookups, loss
+// re-deriving state every time: virtual dispatch, a counting pass over
+// the equal-cost span to skip dead links, ring/mesh lookups, loss
 // comparisons.  Over a Quartz mesh the answers are almost always the
 // same for every packet at a given (switch, destination-group) pair —
 // the WDM ring structure makes routes compilable — so the Fib caches
@@ -30,7 +30,10 @@
 namespace quartz::routing {
 
 /// Scratch an oracle's compile_entry writes its verdict into.  Exactly
-/// one emit_* call wins (the last one); emit_slow is the default.
+/// one emit_* call wins (the last one); emit_slow is the default.  The
+/// candidate and detour buffers start empty for every compile and keep
+/// their capacity, so recompiles stop allocating once they have seen
+/// the widest span.
 class FibCompiler {
  public:
   enum class Action : std::uint8_t {
@@ -46,27 +49,30 @@ class FibCompiler {
     topo::LinkId leg1 = topo::kInvalidLink;
   };
 
+  void add_candidate(topo::LinkId link) { candidates_.push_back(link); }
+  std::span<const topo::LinkId> candidates() const { return candidates_; }
+  void add_detour(Detour detour) { detours_.push_back(detour); }
+
   void emit_slow() { action_ = Action::kSlow; }
   void emit_direct(topo::LinkId link) {
     action_ = Action::kDirect;
     link_ = link;
   }
-  /// A one-element span compiles to kDirect; an empty one to kSlow.
-  void emit_ecmp(std::vector<topo::LinkId> candidates) {
-    if (candidates.empty()) return emit_slow();
-    if (candidates.size() == 1) return emit_direct(candidates[0]);
+  /// Hash pick over the added candidates: one compiles to kDirect, none
+  /// to kSlow.
+  void emit_ecmp() {
+    if (candidates_.empty()) return emit_slow();
+    if (candidates_.size() == 1) return emit_direct(candidates_[0]);
     action_ = Action::kEcmpHash;
-    candidates_ = std::move(candidates);
   }
   void emit_host_port() { action_ = Action::kHostPort; }
   /// `direct` is the (unique, alive, clean) mesh exit; a flow rolls
-  /// under `fraction` into one of `detours` (hash-picked) before
-  /// settling on `direct`.
-  void emit_vlb_roll(topo::LinkId direct, double fraction, std::vector<Detour> detours) {
+  /// under `fraction` into one of the added detours (hash-picked)
+  /// before settling on `direct`.
+  void emit_vlb_roll(topo::LinkId direct, double fraction) {
     action_ = Action::kVlbRoll;
     link_ = direct;
     fraction_ = fraction;
-    detours_ = std::move(detours);
   }
   /// ECMP-style via handling: a via naming this node is cleared and the
   /// fast action still applies (EcmpOracle ignores foreign vias).

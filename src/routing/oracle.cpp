@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
+#include <stdexcept>
 
 #include "common/check.hpp"
 #include "routing/fib.hpp"
@@ -10,20 +12,29 @@
 namespace quartz::routing {
 namespace {
 
+/// The `index`-th element of `items` that `keep` accepts.  Pickers
+/// count the accepted elements first and hash an index below that
+/// count, so they draw exactly what indexing a vector of the accepted
+/// elements would draw, without building one.
+template <typename Range, typename Keep>
+typename Range::value_type nth_kept(const Range& items, std::size_t index, Keep&& keep) {
+  for (const auto& item : items) {
+    if (keep(item) && index-- == 0) return item;
+  }
+  throw std::logic_error("pick index past the accepted elements");
+}
+
 /// Hash-pick among the equal-cost links not known dead; falls back to
 /// the full set when every candidate is dead (`any_alive` reports
 /// which case happened).
 topo::LinkId select_alive(std::span<const topo::LinkId> links, const FailureView* view,
                           std::uint64_t flow_hash, std::uint64_t salt, bool* any_alive) {
   if (view != nullptr) {
-    std::vector<topo::LinkId> alive;
-    alive.reserve(links.size());
-    for (const topo::LinkId l : links) {
-      if (!view->is_dead(l)) alive.push_back(l);
-    }
-    if (!alive.empty()) {
+    const auto alive = [view](topo::LinkId l) { return !view->is_dead(l); };
+    const auto count = static_cast<std::size_t>(std::count_if(links.begin(), links.end(), alive));
+    if (count > 0) {
       if (any_alive != nullptr) *any_alive = true;
-      return alive[hash_select(flow_hash, salt, alive.size())];
+      return nth_kept(links, hash_select(flow_hash, salt, count), alive);
     }
     if (any_alive != nullptr) *any_alive = false;
   } else if (any_alive != nullptr) {
@@ -85,37 +96,56 @@ topo::LinkId EcmpOracle::next_link(topo::NodeId node, FlowKey& key) const {
   // the deflection's combined observed loss beats staying direct.
   const topo::Graph& graph = routing_->graph();
   const int here = routing_->distance(node, key.dst);
-  std::vector<std::pair<topo::NodeId, topo::LinkId>> candidates;
-  int best = -1;
-  double best_loss = direct_loss;
-  for (const auto& adj : graph.neighbors(node)) {
-    if (link_dead(adj.link) || !graph.is_switch(adj.peer)) continue;
+  struct Deflection {
+    int distance;  ///< the peer's hop distance to the destination
+    double loss;   ///< combined observed loss over the peer
+  };
+  const auto deflection = [&](const topo::Adjacency& adj) -> std::optional<Deflection> {
+    if (link_dead(adj.link) || !graph.is_switch(adj.peer)) return std::nullopt;
     const int d = routing_->distance(adj.peer, key.dst);
-    if (d < 0 || (here >= 0 && d > here)) continue;  // never deflect backward
+    if (d < 0 || (here >= 0 && d > here)) return std::nullopt;  // never deflect backward
     double exit_loss = 1.0;  // best (lowest-loss) live exit at the peer
     for (const topo::LinkId l : routing_->next_links(adj.peer, key.dst)) {
       if (link_dead(l)) continue;
       exit_loss = std::min(exit_loss, loss_of(l));
     }
-    if (exit_loss >= 1.0) continue;  // peer has no live exit
+    if (exit_loss >= 1.0) return std::nullopt;  // peer has no live exit
     const double combined = 1.0 - (1.0 - loss_of(adj.link)) * (1.0 - exit_loss);
-    if (combined >= direct_loss) continue;  // no better than staying direct
-    if (best >= 0 && d > best) continue;
-    if (best < 0 || d < best || combined < best_loss - 1e-12) {
-      best = d;
-      best_loss = combined;
-      candidates.clear();
+    if (combined >= direct_loss) return std::nullopt;  // no better than staying direct
+    return Deflection{d, combined};
+  };
+  // First pass: the closest peers, then the lowest combined loss (ties
+  // within 1e-12 of the loss that opened the run).  Remember where the
+  // final run of ties opens and how long it is.
+  const auto neighbors = graph.neighbors(node);
+  int best = -1;
+  double best_loss = direct_loss;
+  std::size_t run_start = 0;
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    const auto option = deflection(neighbors[i]);
+    if (!option || (best >= 0 && option->distance > best)) continue;
+    if (best < 0 || option->distance < best || option->loss < best_loss - 1e-12) {
+      best = option->distance;
+      best_loss = option->loss;
+      run_start = i;
+      ties = 0;
     }
-    if (combined <= best_loss + 1e-12) candidates.emplace_back(adj.peer, adj.link);
+    if (option->loss <= best_loss + 1e-12) ++ties;
   }
   // No live escape: forward onto the dead/lossy link and let the
   // simulator drop and count it (the blackhole inside the detection
   // window, or the gray link's residual loss).
-  if (candidates.empty()) return chosen;
-  const auto& pick =
-      candidates[hash_select(key.flow_hash, 0x4445544Full, candidates.size())];  // "DETO"
-  key.via = pick.first;
-  return pick.second;
+  if (ties == 0) return chosen;
+  // Second pass: hash-pick among the ties, walking from the run's start.
+  const topo::Adjacency pick = nth_kept(
+      neighbors.subspan(run_start), hash_select(key.flow_hash, 0x4445544Full, ties),  // "DETO"
+      [&](const topo::Adjacency& adj) {
+        const auto option = deflection(adj);
+        return option && option->distance == best && option->loss <= best_loss + 1e-12;
+      });
+  key.via = pick.peer;
+  return pick.link;
 }
 
 void EcmpOracle::compile_entry(topo::NodeId node, std::int32_t group, FibCompiler& out) const {
@@ -135,19 +165,17 @@ void EcmpOracle::compile_entry(topo::NodeId node, std::int32_t group, FibCompile
   if (dst == topo::kInvalidNode) return out.emit_slow();
   const auto links = routing.next_links(node, dst);
   if (links.empty()) return out.emit_slow();
-  std::vector<topo::LinkId> alive;
-  alive.reserve(links.size());
   for (const topo::LinkId l : links) {
-    if (!link_dead(l)) alive.push_back(l);
+    if (!link_dead(l)) out.add_candidate(l);
   }
   // All dead, or some alive candidate over the loss threshold: the
   // per-flow deflection scan decides — stay slow.
-  if (alive.empty()) return out.emit_slow();
-  for (const topo::LinkId l : alive) {
+  if (out.candidates().empty()) return out.emit_slow();
+  for (const topo::LinkId l : out.candidates()) {
     if (link_loss(l) > soft_fail_threshold()) return out.emit_slow();
   }
   out.set_clear_own_via();
-  out.emit_ecmp(std::move(alive));
+  out.emit_ecmp();
 }
 
 MeshAwareOracle::MeshAwareOracle(const EcmpRouting& routing,
@@ -216,55 +244,78 @@ topo::LinkId MeshAwareOracle::heal_choice(topo::NodeId node, FlowKey& key,
   // node -> w -> exit over surviving lightpaths, keeping the detours
   // with the lowest combined observed loss — and only when that beats
   // staying on the direct lightpath (a dead direct counts as loss 1).
-  std::vector<std::pair<topo::NodeId, topo::LinkId>> alive;
-  double best_loss = direct_loss;
-  for (const topo::NodeId w : ring(r)) {
-    if (w == node || w == exit) continue;
+  const auto detour_loss = [&](topo::NodeId w) -> std::optional<double> {
+    if (w == node || w == exit) return std::nullopt;
     const topo::LinkId leg1 = mesh_link(node, w);
     const topo::LinkId leg2 = mesh_link(w, exit);
-    if (leg1 == topo::kInvalidLink || leg2 == topo::kInvalidLink) continue;
-    if (link_dead(leg1) || link_dead(leg2)) continue;
+    if (leg1 == topo::kInvalidLink || leg2 == topo::kInvalidLink) return std::nullopt;
+    if (link_dead(leg1) || link_dead(leg2)) return std::nullopt;
     const double combined = 1.0 - (1.0 - link_loss(leg1)) * (1.0 - link_loss(leg2));
-    if (combined >= direct_loss) continue;  // detour no better than direct
-    if (alive.empty() || combined < best_loss - 1e-12) {
-      best_loss = combined;
-      alive.clear();
+    if (combined >= direct_loss) return std::nullopt;  // detour no better than direct
+    return combined;
+  };
+  // First pass: where the final run of lowest-loss ties (within 1e-12
+  // of the loss that opened the run) starts, and how long it is.
+  const std::span<const topo::NodeId> members = ring(r);
+  double best_loss = direct_loss;
+  std::size_t run_start = 0;
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto combined = detour_loss(members[i]);
+    if (!combined) continue;
+    if (ties == 0 || *combined < best_loss - 1e-12) {
+      best_loss = *combined;
+      run_start = i;
+      ties = 0;
     }
-    if (combined <= best_loss + 1e-12) alive.emplace_back(w, leg1);
+    if (*combined <= best_loss + 1e-12) ++ties;
   }
   // Nothing survives (or nothing beats the direct loss): forward onto
   // the dead/lossy lightpath and let the simulator drop and count it.
-  if (alive.empty()) return chosen;
-  const auto& pick = alive[hash_select(key.flow_hash, 0x4845414Cull, alive.size())];  // "HEAL"
-  key.via = pick.first;
+  if (ties == 0) return chosen;
+  // Second pass: hash-pick among the ties, walking from the run's start.
+  const topo::NodeId via = nth_kept(
+      members.subspan(run_start), hash_select(key.flow_hash, 0x4845414Cull, ties),  // "HEAL"
+      [&](topo::NodeId w) {
+        const auto combined = detour_loss(w);
+        return combined && *combined <= best_loss + 1e-12;
+      });
+  key.via = via;
   key.vlb_done = true;  // the healing detour consumes the detour budget
-  return pick.second;
+  return mesh_link(node, via);
 }
 
 MeshAwareOracle::CandidateSet MeshAwareOracle::analyze_candidates(
-    topo::NodeId node, std::span<const topo::LinkId> links) const {
-  CandidateSet out;
-  out.links.reserve(links.size());
+    topo::NodeId node, std::span<const topo::LinkId> links, FibCompiler& out) const {
+  CandidateSet set;
   for (const topo::LinkId l : links) {
-    if (!link_dead(l)) out.links.push_back(l);
+    if (!link_dead(l)) out.add_candidate(l);
   }
-  if (out.links.empty()) {
-    out.fallback = true;
-    out.links.assign(links.begin(), links.end());
+  if (out.candidates().empty()) {
+    set.fallback = true;
+    for (const topo::LinkId l : links) out.add_candidate(l);
   }
   const int r = ring_of(node);
   const topo::Graph& graph = routing().graph();
-  for (const topo::LinkId l : out.links) {
-    if (link_loss(l) > soft_fail_threshold()) out.clean = false;
-    if (r >= 0 && ring_of(graph.link(l).other(node)) == r) ++out.mesh_exits;
+  for (const topo::LinkId l : out.candidates()) {
+    if (link_loss(l) > soft_fail_threshold()) set.clean = false;
+    if (r >= 0 && ring_of(graph.link(l).other(node)) == r) ++set.mesh_exits;
   }
-  return out;
+  return set;
 }
 
 VlbOracle::VlbOracle(const EcmpRouting& routing,
                      const std::vector<std::vector<topo::NodeId>>& rings, double fraction)
     : MeshAwareOracle(routing, rings), fraction_(fraction) {
   QUARTZ_REQUIRE(fraction >= 0.0 && fraction <= 1.0, "VLB fraction must be in [0,1]");
+}
+
+bool VlbOracle::detour_eligible(topo::NodeId node, topo::NodeId exit, topo::NodeId w) const {
+  if (w == node || w == exit) return false;
+  const topo::LinkId leg1 = mesh_link(node, w);
+  QUARTZ_CHECK(leg1 != topo::kInvalidLink, "ring is not fully meshed");
+  const topo::LinkId leg2 = mesh_link(w, exit);
+  return !link_dead(leg1) && (leg2 == topo::kInvalidLink || !link_dead(leg2));
 }
 
 topo::LinkId VlbOracle::next_link(topo::NodeId node, FlowKey& key) const {
@@ -288,19 +339,12 @@ topo::LinkId VlbOracle::next_link(topo::NodeId node, FlowKey& key) const {
           // Pick the intermediate among ring members other than the
           // ingress and the direct exit, skipping any whose detour legs
           // are known dead.
-          std::vector<topo::NodeId> candidates;
-          candidates.reserve(members.size());
-          for (const topo::NodeId w : members) {
-            if (w == node || w == next_hop) continue;
-            const topo::LinkId leg1 = mesh_link(node, w);
-            QUARTZ_CHECK(leg1 != topo::kInvalidLink, "ring is not fully meshed");
-            const topo::LinkId leg2 = mesh_link(w, next_hop);
-            if (link_dead(leg1) || (leg2 != topo::kInvalidLink && link_dead(leg2))) continue;
-            candidates.push_back(w);
-          }
-          if (!candidates.empty()) {
+          const auto eligible = [&](topo::NodeId w) { return detour_eligible(node, next_hop, w); };
+          const auto count =
+              static_cast<std::size_t>(std::count_if(members.begin(), members.end(), eligible));
+          if (count > 0) {
             const topo::NodeId via =
-                candidates[hash_select(key.flow_hash, 0x564C4232ull, candidates.size())];
+                nth_kept(members, hash_select(key.flow_hash, 0x564C4232ull, count), eligible);
             key.via = via;
             return mesh_link(node, via);
           }
@@ -322,32 +366,25 @@ void VlbOracle::compile_entry(topo::NodeId node, std::int32_t group, FibCompiler
   if (dst == topo::kInvalidNode) return out.emit_slow();
   const auto links = routing.next_links(node, dst);
   if (links.empty()) return out.emit_slow();
-  CandidateSet set = analyze_candidates(node, links);
+  const CandidateSet set = analyze_candidates(node, links, out);
   const int r = ring_of(node);
   if (r < 0 || set.mesh_exits == 0) {
     // No candidate enters this node's mesh: the roll cannot trigger and
     // healing returns the choice unchanged (dead or lossy included) —
     // the plain hash pick is exact.
-    return out.emit_ecmp(std::move(set.links));
+    return out.emit_ecmp();
   }
-  if (!set.fallback && set.clean && set.links.size() == 1 && set.mesh_exits == 1) {
+  if (!set.fallback && set.clean && out.candidates().size() == 1 && set.mesh_exits == 1) {
     // Unique alive, clean mesh exit: compile the mesh-ingress roll.
-    const topo::LinkId direct = set.links[0];
+    const topo::LinkId direct = out.candidates()[0];
     const topo::NodeId next_hop = routing.graph().link(direct).other(node);
     const auto& members = ring(r);
-    std::vector<FibCompiler::Detour> detours;
     if (members.size() > 2) {
-      detours.reserve(members.size());
       for (const topo::NodeId w : members) {
-        if (w == node || w == next_hop) continue;
-        const topo::LinkId leg1 = mesh_link(node, w);
-        QUARTZ_CHECK(leg1 != topo::kInvalidLink, "ring is not fully meshed");
-        const topo::LinkId leg2 = mesh_link(w, next_hop);
-        if (link_dead(leg1) || (leg2 != topo::kInvalidLink && link_dead(leg2))) continue;
-        detours.push_back({w, leg1});
+        if (detour_eligible(node, next_hop, w)) out.add_detour({w, mesh_link(node, w)});
       }
     }
-    return out.emit_vlb_roll(direct, members.size() > 2 ? fraction_ : 0.0, std::move(detours));
+    return out.emit_vlb_roll(direct, members.size() > 2 ? fraction_ : 0.0);
   }
   // Dead or lossy mesh exits (healing engages per flow) or several
   // alive mesh exits (the detour set depends on the flow's hash pick).
@@ -525,13 +562,13 @@ void PinnedDetourOracle::compile_entry(topo::NodeId node, std::int32_t group,
   if (dst == topo::kInvalidNode) return out.emit_slow();
   const auto links = routing.next_links(node, dst);
   if (links.empty()) return out.emit_slow();
-  CandidateSet set = analyze_candidates(node, links);
+  const CandidateSet set = analyze_candidates(node, links, out);
   // Fast when healing provably returns the hash pick unchanged: the
   // node is outside any ring, every candidate is alive and clean, or
   // the (dead/lossy) candidates all exit the mesh where healing
   // declines to act.
   if (ring_of(node) < 0 || (!set.fallback && set.clean) || set.mesh_exits == 0) {
-    return out.emit_ecmp(std::move(set.links));
+    return out.emit_ecmp();
   }
   out.emit_slow();
 }
@@ -636,17 +673,17 @@ void AdaptiveVlbOracle::compile_entry(topo::NodeId node, std::int32_t group,
   if (dst == topo::kInvalidNode) return out.emit_slow();
   const auto links = routing.next_links(node, dst);
   if (links.empty()) return out.emit_slow();
-  CandidateSet set = analyze_candidates(node, links);
+  const CandidateSet set = analyze_candidates(node, links, out);
   if (set.fallback) {
     // All dead: the (dead) pick is soft-failed and heals, which is a
     // no-op only when no candidate re-enters the mesh.
-    if (set.mesh_exits == 0) return out.emit_ecmp(std::move(set.links));
+    if (set.mesh_exits == 0) return out.emit_ecmp();
     return out.emit_slow();
   }
   if (!set.clean) return out.emit_slow();  // soft-failed candidates heal per flow
   if (probe_ == nullptr || ring_of(node) < 0 || set.mesh_exits == 0) {
     // Degenerate ECMP: no probe, or no mesh hop to adapt over.
-    return out.emit_ecmp(std::move(set.links));
+    return out.emit_ecmp();
   }
   // Queue-adaptive (and possibly flowlet-sticky) mesh ingress: the
   // decision depends on instantaneous load — inherently slow-path.

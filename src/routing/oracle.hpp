@@ -175,17 +175,18 @@ class MeshAwareOracle : public RoutingOracle {
   /// `chosen` unchanged.  Consumes the flow's detour budget.
   topo::LinkId heal_choice(topo::NodeId node, FlowKey& key, topo::LinkId chosen) const;
 
-  /// Compile-time view of an equal-cost span: the set select_alive
-  /// would draw from (alive candidates, or the full span when all are
-  /// dead), whether every member is clean of loss, and how many exit
-  /// into this node's own ring (where healing/VLB can engage).
+  /// Compile-time view of an equal-cost span.  analyze_candidates adds
+  /// the set select_alive would draw from (alive candidates, or the
+  /// full span when all are dead) to `out`'s candidates and reports
+  /// whether every member is clean of loss and how many exit into this
+  /// node's own ring (where healing/VLB can engage).
   struct CandidateSet {
-    std::vector<topo::LinkId> links;
-    bool fallback = false;  ///< every candidate dead; links = full span
-    bool clean = true;      ///< all of `links` at or below the threshold
-    int mesh_exits = 0;     ///< members of `links` whose far end shares node's ring
+    bool fallback = false;  ///< every candidate dead; the set is the full span
+    bool clean = true;      ///< every member at or below the threshold
+    int mesh_exits = 0;     ///< members whose far end shares node's ring
   };
-  CandidateSet analyze_candidates(topo::NodeId node, std::span<const topo::LinkId> links) const;
+  CandidateSet analyze_candidates(topo::NodeId node, std::span<const topo::LinkId> links,
+                                  FibCompiler& out) const;
 
  private:
   std::int32_t mesh_slot(topo::NodeId node) const {
@@ -216,6 +217,10 @@ class VlbOracle : public MeshAwareOracle {
   double fraction() const { return fraction_; }
 
  private:
+  /// Whether ring member `w` may carry a VLB detour from `node` toward
+  /// the direct exit `exit`: neither endpoint, and no leg known dead.
+  bool detour_eligible(topo::NodeId node, topo::NodeId exit, topo::NodeId w) const;
+
   double fraction_;
 };
 

@@ -23,6 +23,38 @@ std::vector<ServeClass> normalize_classes(std::vector<ServeClass> classes) {
 
 }  // namespace
 
+ServeLoop::Call* ServeLoop::CallTable::find(std::uint64_t id) {
+  if (id < base_ || id >= end_) return nullptr;
+  Slot& slot = slot_of(id);
+  return slot.live ? &slot.call : nullptr;
+}
+
+void ServeLoop::CallTable::insert(std::uint64_t id, const Call& call) {
+  QUARTZ_CHECK(id >= end_, "call ids must be inserted in increasing order");
+  if (live_ == 0) base_ = id;
+  if (id - base_ >= slots_.size()) {
+    // The live span outgrew the ring: re-seat the live calls in a ring
+    // twice as large (or larger).  Ids outside the span stay dead.
+    std::size_t capacity = std::max<std::size_t>(slots_.size() * 2, 64);
+    while (id - base_ >= capacity) capacity *= 2;
+    std::vector<Slot> grown(capacity);
+    for (std::uint64_t live = base_; live < end_; ++live) {
+      grown[live & (capacity - 1)] = slot_of(live);
+    }
+    slots_.swap(grown);
+  }
+  slot_of(id) = Slot{call, true};
+  end_ = id + 1;
+  ++live_;
+}
+
+void ServeLoop::CallTable::erase(std::uint64_t id) {
+  QUARTZ_CHECK(find(id) != nullptr, "erasing a call that is not outstanding");
+  slot_of(id).live = false;
+  --live_;
+  while (base_ < end_ && !slot_of(base_).live) ++base_;
+}
+
 ServeLoop::ServeLoop(ServeConfig config)
     : config_(std::move(config)),
       classes_(normalize_classes(config_.classes)),
@@ -88,9 +120,9 @@ ServeLoop::ServeLoop(ServeConfig config)
         {this, kReplyTag, p.tag, (server << 32) | client});
   });
   reply_task_ = network_->new_task([this](const sim::Packet& p, TimePs) {
-    const auto it = outstanding_.find(p.tag);
-    if (it == outstanding_.end()) return;  // duplicate or abandoned call
-    complete_call(p.tag, network_->now() - it->second.issued_at);
+    const Call* call = outstanding_.find(p.tag);
+    if (call == nullptr) return;  // duplicate or abandoned call
+    complete_call(p.tag, network_->now() - call->issued_at);
   });
 }
 
@@ -294,14 +326,14 @@ void ServeLoop::on_arrival(const TraceEvent& ev) {
   call.issued_at = network_->now();
   call.deadline = network_->now() + classes_[static_cast<std::size_t>(ev.cls)].deadline;
   call.flow_id = rng_.next_u64();
-  outstanding_.emplace(id, call);
+  outstanding_.insert(id, call);
   send_attempt(id);
 }
 
 void ServeLoop::send_attempt(std::uint64_t id) {
-  const auto it = outstanding_.find(id);
-  QUARTZ_CHECK(it != outstanding_.end(), "sending an attempt for an unknown call");
-  Call& call = it->second;
+  Call* found = outstanding_.find(id);
+  QUARTZ_CHECK(found != nullptr, "sending an attempt for an unknown call");
+  Call& call = *found;
   ++total_sends_;
   if (call.attempt == 0) {
     ++first_sends_;
@@ -316,9 +348,9 @@ void ServeLoop::send_attempt(std::uint64_t id) {
 }
 
 void ServeLoop::on_timeout(std::uint64_t id, int attempt) {
-  const auto it = outstanding_.find(id);
-  if (it == outstanding_.end() || it->second.attempt != attempt) return;  // resolved or retried
-  Call& call = it->second;
+  Call* found = outstanding_.find(id);
+  if (found == nullptr || found->attempt != attempt) return;  // resolved or retried
+  Call& call = *found;
   release_retry_slot(call);
 
   // Deadline propagation: a retry whose reply cannot possibly arrive in
@@ -350,9 +382,9 @@ void ServeLoop::on_timeout(std::uint64_t id, int attempt) {
 }
 
 void ServeLoop::complete_call(std::uint64_t id, TimePs latency) {
-  const auto it = outstanding_.find(id);
-  QUARTZ_CHECK(it != outstanding_.end(), "completing an unknown call");
-  Call& call = it->second;
+  Call* found = outstanding_.find(id);
+  QUARTZ_CHECK(found != nullptr, "completing an unknown call");
+  Call& call = *found;
   release_retry_slot(call);
   const bool in_deadline = network_->now() <= call.deadline;
   const double us = to_microseconds(latency);
@@ -360,15 +392,15 @@ void ServeLoop::complete_call(std::uint64_t id, TimePs latency) {
   if (min_rtt_us_ < 0.0 || us < min_rtt_us_) min_rtt_us_ = us;
   ++completed_;
   if (!in_deadline) ++late_;
-  outstanding_.erase(it);
+  outstanding_.erase(id);
 }
 
 void ServeLoop::fail_call(std::uint64_t id) {
-  const auto it = outstanding_.find(id);
-  QUARTZ_CHECK(it != outstanding_.end(), "failing an unknown call");
-  release_retry_slot(it->second);
+  Call* found = outstanding_.find(id);
+  QUARTZ_CHECK(found != nullptr, "failing an unknown call");
+  release_retry_slot(*found);
   ++failed_;
-  outstanding_.erase(it);
+  outstanding_.erase(id);
 }
 
 void ServeLoop::release_retry_slot(Call& call) {
@@ -433,8 +465,8 @@ void ServeLoop::save_snapshot(snapshot::Writer& w) const {
   w.put_u64(config_.replay != nullptr ? config_.replay->size() : 0);
   w.end_chunk();
 
-  // Serve bookkeeping.  The outstanding table is serialized sorted by
-  // call id so the snapshot bytes are a pure function of state.
+  // Serve bookkeeping.  The outstanding table is serialized in call id
+  // order so the snapshot bytes are a pure function of state.
   w.begin_chunk(snapshot::chunk_id("SRVS"));
   w.put_rng(rng_);
   w.put_u64(next_id_);
@@ -455,13 +487,8 @@ void ServeLoop::save_snapshot(snapshot::Writer& w) const {
   w.put_u64(reconfigurations_);
   w.put_u64(pins_applied_);
   w.put_u64(pins_rejected_);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(outstanding_.size());
-  for (const auto& [id, call] : outstanding_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.put_u64(ids.size());
-  for (const std::uint64_t id : ids) {
-    const Call& call = outstanding_.at(id);
+  w.put_u64(outstanding_.size());
+  outstanding_.for_each([&w](std::uint64_t id, const Call& call) {
     w.put_u64(id);
     w.put_i32(call.cls);
     w.put_i32(call.src);
@@ -471,7 +498,7 @@ void ServeLoop::save_snapshot(snapshot::Writer& w) const {
     w.put_u64(call.flow_id);
     w.put_i32(call.attempt);
     w.put_bool(call.holding_retry_slot);
-  }
+  });
   w.put_u64(trace_.size());
   for (const TraceEvent& ev : trace_) {
     w.put_i64(ev.at);
@@ -546,8 +573,6 @@ void ServeLoop::restore_snapshot(snapshot::Reader& r) {
   pins_applied_ = r.get_u64();
   pins_rejected_ = r.get_u64();
   const std::uint64_t calls = r.get_u64();
-  outstanding_.clear();
-  outstanding_.reserve(calls);
   for (std::uint64_t i = 0; i < calls; ++i) {
     const std::uint64_t id = r.get_u64();
     Call call;
@@ -559,7 +584,7 @@ void ServeLoop::restore_snapshot(snapshot::Reader& r) {
     call.flow_id = r.get_u64();
     call.attempt = r.get_i32();
     call.holding_retry_slot = r.get_bool();
-    outstanding_.emplace(id, call);
+    outstanding_.insert(id, call);
   }
   const std::uint64_t traced = r.get_u64();
   trace_.clear();

@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -231,6 +230,43 @@ class ServeLoop : public sim::TimerHandler {
     bool holding_retry_slot = false;
   };
 
+  /// The outstanding calls, keyed by id.  Ids are issued sequentially
+  /// and every call resolves within a bounded time, so the table is a
+  /// power-of-two ring over the live id span [base, end): a lookup is
+  /// one index, and memory is only allocated when that span reaches a
+  /// new high-water mark.
+  class CallTable {
+   public:
+    /// Null when `id` is not outstanding.
+    Call* find(std::uint64_t id);
+    /// `id` must exceed every id inserted before.
+    void insert(std::uint64_t id, const Call& call);
+    void erase(std::uint64_t id);
+    std::size_t size() const { return live_; }
+    bool empty() const { return live_ == 0; }
+    /// Visit the outstanding calls in ascending id order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (std::uint64_t id = base_; id < end_; ++id) {
+        const Slot& slot = slot_of(id);
+        if (slot.live) fn(id, slot.call);
+      }
+    }
+
+   private:
+    struct Slot {
+      Call call;
+      bool live = false;
+    };
+    Slot& slot_of(std::uint64_t id) { return slots_[id & (slots_.size() - 1)]; }
+    const Slot& slot_of(std::uint64_t id) const { return slots_[id & (slots_.size() - 1)]; }
+
+    std::vector<Slot> slots_;
+    std::uint64_t base_ = 0;  ///< no id below this is outstanding
+    std::uint64_t end_ = 0;   ///< one past the newest inserted id
+    std::size_t live_ = 0;
+  };
+
   /// Everything the loop schedules is a typed timer (checkpointable),
   /// never a closure.  `a`/`b` carry the operands noted per tag.
   enum TimerTag : std::uint32_t {
@@ -274,7 +310,7 @@ class ServeLoop : public sim::TimerHandler {
   int request_task_ = -1;
   int reply_task_ = -1;
   std::uint64_t next_id_ = 1;
-  std::unordered_map<std::uint64_t, Call> outstanding_;
+  CallTable outstanding_;
   std::vector<TraceEvent> trace_;
   /// Active demand shift (last one whose time has passed); -1 = none.
   int active_shift_ = -1;
