@@ -1,7 +1,7 @@
 // Telemetry cost model: what the binary event stream costs to write,
 // how dense it is on disk, and that capturing it neither perturbs the
-// simulation nor loses information (decoded JSONL == the legacy direct
-// export, byte for byte).
+// simulation nor loses information (decoded JSONL == a direct JSONL
+// sink attached to the same run, byte for byte).
 //
 // Emits BENCH_telemetry.json with three machine-checked claims:
 //   * encode_throughput: records/sec and bytes/event of the pure hot
@@ -15,8 +15,9 @@
 //     cost is reported alongside as ns/event — at this simulator's
 //     ~20M events/s a per-event byte-writing cost can never be 2% of
 //     wall-clock, so that number is informational, not gated;
-//   * decode_fidelity: FNV-1a digest of quartz_decode's JSONL vs the
-//     direct JsonlEventWriter export (equality always QUARTZ_CHECKed).
+//   * decode_fidelity: FNV-1a digest of quartz_decode's JSONL vs a
+//     JsonlEventWriter attached live to the same run (equality always
+//     QUARTZ_CHECKed).
 #include "report.hpp"
 
 #include <chrono>
@@ -27,6 +28,7 @@
 
 #include "common/check.hpp"
 #include "sim/experiments.hpp"
+#include "sim/workloads.hpp"
 #include "telemetry/binary_stream.hpp"
 #include "telemetry/decode.hpp"
 #include "telemetry/stream_sink.hpp"
@@ -184,34 +186,60 @@ void run_capture_overhead() {
 }
 
 // ---------------------------------------------------------------------------
-// Decode fidelity: decoded JSONL must equal the legacy direct export.
+// Decode fidelity: one live run feeds a direct JsonlEventWriter and the
+// binary capture side by side; the decoded capture must equal the
+// direct JSONL byte for byte.
 
 void run_decode_fidelity() {
-  TaskExperimentParams params = fig18_params();
-  params.duration = milliseconds(2);
-
-  // Direct path: JsonlEventWriter attached to the live network.
+  BuiltFabric fabric = build_fabric(Fabric::kQuartzInJellyfish);
+  SimConfig config;
+  config.failure_detection_delay = microseconds(50);
+  Network net(fabric.topo, *fabric.oracle, config);
+  if (fabric.fib != nullptr) net.set_fib(fabric.fib.get());
   std::ostringstream direct;
-  {
-    TaskExperimentParams p = params;
-    p.telemetry.events_jsonl = &direct;
-    run_task_experiment(Fabric::kQuartzInJellyfish, {}, p);
-  }
-  // Stream path: capture binary, decode back to JSONL.
+  telemetry::JsonlEventWriter writer(direct);
   std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+  telemetry::StreamFile pages(file);
+  telemetry::BinaryStream stream(pages);
+  telemetry::BinaryStreamSink capture(stream);
+  net.set_stream_sink(&capture);
+  net.add_sink(&writer);
+
+  // Three 15-receiver scatter tasks at the fig18 per-flow rate, plus a
+  // cut and repair of the first sender's access link (link state,
+  // detection, link-down drops) and a gray failure on one receiver's
+  // (degradation, corruption drops), so every packet and link event
+  // class the simulator emits crosses the capture.
+  const std::vector<topo::NodeId>& hosts = fabric.topo.hosts;
+  TaskPatternParams flows;
+  flows.per_flow_rate = megabits_per_second(200);
+  flows.stop = milliseconds(2);
+  std::vector<std::unique_ptr<ScatterTask>> tasks;
+  for (std::size_t t = 0; t < 3; ++t) {
+    std::vector<topo::NodeId> receivers;
+    for (std::size_t i = 1; i <= 15; ++i) {
+      receivers.push_back(hosts[(t + i * 4) % hosts.size()]);
+    }
+    tasks.push_back(std::make_unique<ScatterTask>(net, hosts[t * 2 + 17], receivers, flows,
+                                                  Rng(7 + t)));
+  }
+  const topo::LinkId cut = fabric.topo.graph.neighbors(hosts[17]).front().link;
+  const topo::LinkId lossy = fabric.topo.graph.neighbors(hosts[4]).front().link;
+  net.at(microseconds(500), [&] { net.fail_link(cut); });
+  net.at(microseconds(900), [&] { net.repair_link(cut); });
+  net.at(microseconds(700), [&] { net.set_link_loss(lossy, 0.25); });
+  net.at(microseconds(1300), [&] { net.set_link_loss(lossy, 0.0); });
+  net.run_until(milliseconds(3));
+  stream.finish();
+  QUARTZ_CHECK(net.packets_dropped(DropReason::kLinkDown) > 0 &&
+                   net.packets_dropped(DropReason::kCorrupted) > 0,
+               "the fidelity run must exercise both fault drop paths");
+
+  std::ostringstream decoded;
   std::uint64_t records = 0;
   {
-    telemetry::StreamFile sink(file);
-    TaskExperimentParams p = params;
-    p.telemetry.stream = &sink;
-    run_task_experiment(Fabric::kQuartzInJellyfish, {}, p);
-  }
-  std::ostringstream decoded;
-  {
-    telemetry::JsonlEventWriter writer(decoded);
-    std::vector<telemetry::TelemetrySink*> sinks = {&writer};
     file.seekg(0);
-    const telemetry::DecodeStats stats = telemetry::decode_stream(file, sinks);
+    const telemetry::DecodeStats stats = telemetry::decode_jsonl({&file}, decoded);
     QUARTZ_CHECK(stats.gaps.empty(), "clean capture decoded with gaps");
     records = stats.records;
   }
@@ -231,7 +259,7 @@ void run_decode_fidelity() {
               " (%llu records)\n",
               direct_digest, decoded_digest, static_cast<unsigned long long>(records));
   QUARTZ_CHECK(direct_text == decoded_text,
-               "decoded JSONL diverges from the legacy direct export");
+               "decoded JSONL diverges from the direct export of the same run");
   char digest[24];
   std::snprintf(digest, sizeof(digest), "%016" PRIx64, direct_digest);
   bench::Report::instance().add_row(
@@ -250,8 +278,8 @@ void report() {
   bench::print_note(
       "the binary stream is the always-on flight recorder: ~27 bytes/event "
       "on the simulator's mix, passive by construction (identical results "
-      "on/off), and lossless (decoded JSONL is byte-identical to the "
-      "legacy direct export)");
+      "on/off), and lossless (decoded JSONL is byte-identical to a direct "
+      "JSONL sink on the same run)");
 }
 
 void BM_EmitTransmitRecord(benchmark::State& state) {

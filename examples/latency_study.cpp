@@ -26,6 +26,7 @@
 #include "sim/sweep.hpp"
 #include "sim/workloads.hpp"
 #include "telemetry/binary_stream.hpp"
+#include "telemetry/decode.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "topo/properties.hpp"
@@ -61,12 +62,12 @@ int run(int argc, char** argv) {
         "  --telemetry=binary  capture every cell's event stream as compact\n"
         "            binary records in <metrics-out>.qtz (decode with\n"
         "            quartz_decode)\n"
-        "  --telemetry=jsonl   mirror events as JSON lines in\n"
-        "            <metrics-out>.events.jsonl (needs --jobs=1)\n"
+        "  --telemetry=jsonl   as binary, then decode the capture into\n"
+        "            <metrics-out>.events.jsonl (what quartz_decode prints;\n"
+        "            cells interleave in time order, same for any --jobs)\n"
         "  --jobs=N  worker threads for the pattern x fabric sweep (0 = all\n"
-        "            hardware threads); results are byte-identical for every\n"
-        "            value.  --metrics-out needs --jobs=1 (the registry is\n"
-        "            thread-confined).\n"
+        "            hardware threads); results, metrics and telemetry are\n"
+        "            byte-identical for every value\n"
         "  --shards=N  append a parallel-engine cross-check: run the composite\n"
         "            column's fabric through the intra-run sharded engine at\n"
         "            1 and N shards and verify the delivery digests match\n"
@@ -128,11 +129,6 @@ int run(int argc, char** argv) {
     return 1;
   }
   telemetry::MetricRegistry metrics(flags.has("metrics-out"));
-  if (metrics.enabled() && sim::resolve_jobs(jobs) > 1) {
-    // A MetricRegistry is thread-confined; sweep workers cannot share it.
-    std::printf("--metrics-out requires --jobs=1\n");
-    return 1;
-  }
   const std::string telemetry_mode = flags.get("telemetry", "off");
   if (telemetry_mode != "off" && telemetry_mode != "binary" && telemetry_mode != "jsonl") {
     std::printf("--telemetry must be binary, jsonl or off, got '%s'\n", telemetry_mode.c_str());
@@ -143,16 +139,12 @@ int run(int argc, char** argv) {
                 telemetry_mode.c_str());
     return 1;
   }
-  if (telemetry_mode == "jsonl" && sim::resolve_jobs(jobs) > 1) {
-    std::printf("--telemetry=jsonl requires --jobs=1\n");
-    return 1;
-  }
   std::ofstream stream_os;
   std::unique_ptr<telemetry::StreamFile> stream_file;
   std::ofstream events_os;
   std::string stream_path;
   std::string events_path;
-  if (telemetry_mode == "binary") {
+  if (telemetry_mode != "off") {
     stream_path = flags.get("metrics-out") + ".qtz";
     stream_os.open(stream_path, std::ios::binary);
     if (!stream_os) {
@@ -160,9 +152,10 @@ int run(int argc, char** argv) {
       return 1;
     }
     stream_file = std::make_unique<telemetry::StreamFile>(stream_os);
-  } else if (telemetry_mode == "jsonl") {
+  }
+  if (telemetry_mode == "jsonl") {
     events_path = flags.get("metrics-out") + ".events.jsonl";
-    events_os.open(events_path);
+    events_os.open(events_path, std::ios::binary);
     if (!events_os) {
       std::fprintf(stderr, "cannot open %s\n", events_path.c_str());
       return 1;
@@ -223,7 +216,8 @@ int run(int argc, char** argv) {
   }
   const std::uint32_t sample_every =
       static_cast<std::uint32_t>(flags.get_int("sample-every", 1));
-  telemetry::MetricRegistry* registry = metrics.enabled() ? &metrics : nullptr;
+  // Registries are thread-confined: one per cell, folded in cell order.
+  std::vector<telemetry::MetricRegistry> cell_metrics(cells.size());
   sim::SweepRunner runner({jobs, 1});
   const auto results = runner.run(cells, [&](const Cell& cell, sim::SweepContext ctx) {
     TaskExperimentParams params;
@@ -232,16 +226,16 @@ int run(int argc, char** argv) {
     params.duration = milliseconds(duration_ms);
     params.telemetry.trace = trace;
     params.telemetry.trace_sample_every = sample_every;
-    params.telemetry.metrics = registry;  // nonnull only when jobs == 1
+    if (metrics.enabled()) params.telemetry.metrics = &cell_metrics[ctx.index];
     if (stream_file != nullptr) {
       // One stream per sweep cell; the shared StreamFile serializes page
       // appends, so any --jobs value writes the same decodable file.
       params.telemetry.stream = stream_file.get();
       params.telemetry.stream_id = static_cast<std::uint32_t>(ctx.index);
     }
-    if (events_os.is_open()) params.telemetry.events_jsonl = &events_os;  // jobs == 1 only
     return run_task_experiment(cell.fabric, fabric_config, params);
   });
+  for (const telemetry::MetricRegistry& cell : cell_metrics) metrics.merge(cell);
   const std::size_t columns = study.size();
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const Pattern pattern = patterns[i];
@@ -329,7 +323,16 @@ int run(int argc, char** argv) {
                 static_cast<unsigned long long>(stream_file->bytes()));
   }
   if (events_os.is_open()) {
+    // --telemetry=jsonl is capture plus decode: the cells interleave in
+    // the decoder's (time, stream, seq) order, identical for any --jobs.
+    std::ifstream capture(stream_path, std::ios::binary);
+    const telemetry::DecodeStats stats = telemetry::decode_jsonl({&capture}, events_os);
     events_os.flush();
+    if (!events_os || !stats.gaps.empty()) {
+      std::fprintf(stderr, "cannot decode %s into %s\n", stream_path.c_str(),
+                   events_path.c_str());
+      return 1;
+    }
     std::printf("events: %s\n", events_path.c_str());
   }
   return 0;

@@ -188,9 +188,7 @@ int run(int argc, char** argv) {
   DecodeOptions options;
   options.canonical = flags.get_bool("canonical");
   if (format == "jsonl") {
-    JsonlEventWriter writer(buffer);
-    std::vector<TelemetrySink*> sinks = {&writer};
-    stats = decode_streams(inputs, sinks, options);
+    stats = decode_jsonl(inputs, buffer, options);
   } else if (format == "csv") {
     CsvEventWriter writer(buffer);
     std::vector<TelemetrySink*> sinks = {&writer};

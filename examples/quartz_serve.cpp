@@ -62,7 +62,7 @@ int usage(const char* argv0) {
       "               needs --checkpoint-dir)\n"
       "  --telemetry=binary  capture the defended run's event stream in\n"
       "               <metrics-out>.qtz (decode with quartz_decode); jsonl\n"
-      "               writes <metrics-out>.events.jsonl instead\n"
+      "               also decodes it into <metrics-out>.events.jsonl\n"
       "  --shards=1   accepted for CLI symmetry; the serve loop is a single\n"
       "               closed control loop and refuses --shards>1\n",
       argv0);
@@ -198,17 +198,16 @@ int main(int argc, char** argv) {
   serve::ServeLoop loop(config);
 
   // Observability on the live loop: the binary stream rides the
-  // devirtualized fast path with a background page drainer; the JSONL
-  // mirror is the legacy direct-export sink.
+  // devirtualized fast path with a background page drainer; JSONL is
+  // decoded from that capture once the run ends.
   std::ofstream stream_os;
   std::unique_ptr<telemetry::StreamFile> stream_file;
   std::unique_ptr<telemetry::BinaryStream> stream;
   std::unique_ptr<telemetry::BinaryStreamSink> stream_sink;
   std::ofstream events_os;
-  std::unique_ptr<telemetry::JsonlEventWriter> events_writer;
   std::string stream_path;
   std::string events_path;
-  if (telemetry_mode == "binary") {
+  if (telemetry_mode != "off") {
     stream_path = flags.get("metrics-out") + ".qtz";
     stream_os.open(stream_path, std::ios::binary);
     if (!stream_os) {
@@ -221,15 +220,14 @@ int main(int argc, char** argv) {
     stream = std::make_unique<telemetry::BinaryStream>(*stream_file, stream_options);
     stream_sink = std::make_unique<telemetry::BinaryStreamSink>(*stream);
     loop.network().set_stream_sink(stream_sink.get());
-  } else if (telemetry_mode == "jsonl") {
+  }
+  if (telemetry_mode == "jsonl") {
     events_path = flags.get("metrics-out") + ".events.jsonl";
-    events_os.open(events_path);
+    events_os.open(events_path, std::ios::binary);
     if (!events_os) {
       std::fprintf(stderr, "cannot open %s\n", events_path.c_str());
       return 1;
     }
-    events_writer = std::make_unique<telemetry::JsonlEventWriter>(events_os);
-    loop.network().add_sink(events_writer.get());
   }
 
   if (flags.get_bool("blackhole")) {
@@ -313,9 +311,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stream_file->pages()),
                 static_cast<unsigned long long>(stream_file->bytes()));
   }
-  if (events_writer != nullptr) {
-    loop.network().remove_sink(events_writer.get());
+  if (events_os.is_open()) {
+    std::ifstream capture(stream_path, std::ios::binary);
+    const telemetry::DecodeStats stats = telemetry::decode_jsonl({&capture}, events_os);
     events_os.flush();
+    if (!events_os || !stats.gaps.empty()) {
+      std::fprintf(stderr, "cannot decode %s into %s\n", stream_path.c_str(),
+                   events_path.c_str());
+      return 1;
+    }
     std::printf("events: %s\n", events_path.c_str());
   }
   print_report("defended run", defended);

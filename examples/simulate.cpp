@@ -20,6 +20,7 @@
 #include "sim/experiments.hpp"
 #include "topo/composite.hpp"
 #include "telemetry/binary_stream.hpp"
+#include "telemetry/decode.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -57,8 +58,9 @@ int usage(const char* argv0) {
       "                composite:ring-of-rings:8x8@2 (see docs/scale.md)\n"
       "  --telemetry=binary  capture the full event stream as compact binary\n"
       "                records in <metrics-out>.qtz (decode with quartz_decode)\n"
-      "  --telemetry=jsonl   mirror every event as one JSON line in\n"
-      "                <metrics-out>.events.jsonl (requires --jobs=1)\n"
+      "  --telemetry=jsonl   as binary, then decode the capture into\n"
+      "                <metrics-out>.events.jsonl (what quartz_decode prints;\n"
+      "                replicas interleave in time order)\n"
       "  --fib=on|off  route through the compiled FIB (default on); results\n"
       "                are bit-identical either way, only speed differs\n"
       "  --replicas=N  run N independent repetitions (seeds derived from\n"
@@ -256,11 +258,6 @@ int run(int argc, char** argv) {
   params.telemetry.trace_sample_every =
       static_cast<std::uint32_t>(flags.get_int("sample-every", 1));
   params.telemetry.metrics = metrics.enabled() ? &metrics : nullptr;
-  if (params.telemetry.metrics != nullptr && replicas > 1 && resolve_jobs(jobs) > 1) {
-    // A MetricRegistry is thread-confined; replica workers cannot share it.
-    std::printf("--metrics-out requires --jobs=1 when --replicas > 1\n");
-    return usage(argv[0]);
-  }
 
   const std::string telemetry_mode = flags.get("telemetry", "off");
   if (telemetry_mode != "off" && telemetry_mode != "binary" && telemetry_mode != "jsonl") {
@@ -277,7 +274,7 @@ int run(int argc, char** argv) {
   std::ofstream events_os;
   std::string stream_path;
   std::string events_path;
-  if (telemetry_mode == "binary") {
+  if (telemetry_mode != "off") {
     stream_path = flags.get("metrics-out") + ".qtz";
     stream_os.open(stream_path, std::ios::binary);
     if (!stream_os) {
@@ -290,19 +287,31 @@ int run(int argc, char** argv) {
     stream_file = std::make_unique<telemetry::StreamFile>(stream_os);
     params.telemetry.stream = stream_file.get();
     params.telemetry.stream_background = true;
-  } else if (telemetry_mode == "jsonl") {
-    if (replicas > 1 && resolve_jobs(jobs) > 1) {
-      std::printf("--telemetry=jsonl requires --jobs=1 when --replicas > 1\n");
-      return usage(argv[0]);
-    }
+  }
+  if (telemetry_mode == "jsonl") {
     events_path = flags.get("metrics-out") + ".events.jsonl";
-    events_os.open(events_path);
+    events_os.open(events_path, std::ios::binary);
     if (!events_os) {
       std::fprintf(stderr, "cannot open %s\n", events_path.c_str());
       return 1;
     }
-    params.telemetry.events_jsonl = &events_os;
   }
+  // --telemetry=jsonl is capture plus decode: the .qtz is decoded into
+  // the JSONL file once the run (every replica) has finished.
+  auto decode_events = [&] {
+    if (!events_os.is_open()) return true;
+    stream_os.flush();
+    std::ifstream capture(stream_path, std::ios::binary);
+    const telemetry::DecodeStats stats = telemetry::decode_jsonl({&capture}, events_os);
+    events_os.flush();
+    if (!events_os || !stats.gaps.empty()) {
+      std::fprintf(stderr, "cannot decode %s into %s\n", stream_path.c_str(),
+                   events_path.c_str());
+      return false;
+    }
+    std::printf("events: %s\n", events_path.c_str());
+    return true;
+  };
 
   if (replicas > 1) {
     SweepOptions sweep;
@@ -341,7 +350,7 @@ int run(int argc, char** argv) {
       metrics.write_csv(out);
       std::printf("metrics: %s\n", path.c_str());
     }
-    return 0;
+    return decode_events() ? 0 : 1;
   }
 
   const TaskExperimentResult result = run_task_experiment(fabric, config, params);
@@ -392,11 +401,7 @@ int run(int argc, char** argv) {
                 static_cast<unsigned long long>(stream_file->pages()),
                 static_cast<unsigned long long>(stream_file->bytes()));
   }
-  if (params.telemetry.events_jsonl != nullptr) {
-    events_os.flush();
-    std::printf("events: %s\n", events_path.c_str());
-  }
-  return 0;
+  return decode_events() ? 0 : 1;
 }
 
 int main(int argc, char** argv) {

@@ -131,8 +131,11 @@ double gray_drop_probability(std::size_t ring_size, double residual_db, Bits pac
 /// One shard of the storm: full control plane (oracle, monitor,
 /// probes, fault scheduler, fluid background) over the whole graph,
 /// workload chains for the hosts it owns, and a record stream feeding
-/// the merged digest.
-class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHandler {
+/// the merged digest (deliveries via the task handler, drops via the
+/// shard's own on_drop sink).
+class ShardedStormRun::StormShard final : public sim::Shard,
+                                          public sim::TimerHandler,
+                                          private sim::TelemetrySink {
  public:
   struct Rec {
     TimePs when = 0;
@@ -165,9 +168,7 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
       records_.push_back({net_.now(), p.id, static_cast<std::uint64_t>(latency), 0,
                           static_cast<std::uint32_t>(p.hops)});
     });
-    net_.add_drop_hook([this](const sim::Packet& p, sim::DropReason reason) {
-      records_.push_back({net_.now(), p.id, static_cast<std::uint64_t>(reason), 1, 0});
-    });
+    net_.add_sink(this);
     if (params.hybrid_background) {
       // Host i paired with its mirror: a pure function of the fabric,
       // so every shard and every restored run builds the same demands.
@@ -389,6 +390,10 @@ class ShardedStormRun::StormShard final : public sim::Shard, public sim::TimerHa
               params_.packet_gap * static_cast<TimePs>(k + 1),
           {this, kTrafficTag, i, k + 1});
     }
+  }
+
+  void on_drop(const sim::Packet& p, sim::DropReason reason, TimePs when) override {
+    records_.push_back({when, p.id, static_cast<std::uint64_t>(reason), 1, 0});
   }
 
   /// Handler registration order is part of the snapshot contract: the

@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "routing/hierarchical.hpp"
 #include "sim/workloads.hpp"
-#include "telemetry/decode.hpp"
 #include "telemetry/stream_sink.hpp"
 #include "topo/builders.hpp"
 #include "topo/composite.hpp"
@@ -193,11 +192,6 @@ TaskExperimentResult run_task_experiment(Fabric fabric, const FabricConfig& conf
     stream_sink = std::make_unique<telemetry::BinaryStreamSink>(*stream);
     network.set_stream_sink(stream_sink.get());
   }
-  std::unique_ptr<telemetry::JsonlEventWriter> jsonl;
-  if (params.telemetry.events_jsonl != nullptr) {
-    jsonl = std::make_unique<telemetry::JsonlEventWriter>(*params.telemetry.events_jsonl);
-    network.add_sink(jsonl.get());
-  }
 
   TaskPatternParams flow_params;
   flow_params.per_flow_rate = params.per_flow_rate;
@@ -325,11 +319,9 @@ ReplicaSweepResult run_task_replicas(Fabric fabric, const FabricConfig& config,
                                      const TaskExperimentParams& params, int replicas,
                                      const SweepOptions& sweep) {
   QUARTZ_REQUIRE(replicas > 0, "need at least one replica");
-  QUARTZ_REQUIRE(params.telemetry.metrics == nullptr || resolve_jobs(sweep.jobs) == 1,
-                 "a MetricRegistry is thread-confined; drop it or run with jobs = 1");
-  QUARTZ_REQUIRE(params.telemetry.events_jsonl == nullptr || resolve_jobs(sweep.jobs) == 1,
-                 "a JSONL event stream is thread-confined; drop it or run with jobs = 1");
   std::vector<int> points(static_cast<std::size_t>(replicas));
+  // Registries are thread-confined: one per replica, folded in order.
+  std::vector<telemetry::MetricRegistry> registries(points.size());
   SweepRunner runner(sweep);
   ReplicaSweepResult out;
   // The fabric is shared state across replicas only by value: each
@@ -337,6 +329,7 @@ ReplicaSweepResult run_task_replicas(Fabric fabric, const FabricConfig& config,
   out.replicas = runner.run(points, [&](const int&, SweepContext ctx) {
     TaskExperimentParams p = params;
     p.seed = ctx.seed;
+    if (p.telemetry.metrics != nullptr) p.telemetry.metrics = &registries[ctx.index];
     if (p.telemetry.stream != nullptr) {
       // One stream per replica, tagged with the replica index so the
       // decoder's (time, stream, seq) merge is byte-identical for any
@@ -352,6 +345,9 @@ ReplicaSweepResult run_task_replicas(Fabric fabric, const FabricConfig& config,
     out.p99_latency_us.add(r.p99_latency_us);
     out.packets_measured += r.packets_measured;
     out.packets_dropped += r.packets_dropped;
+  }
+  if (params.telemetry.metrics != nullptr) {
+    for (const telemetry::MetricRegistry& r : registries) params.telemetry.metrics->merge(r);
   }
   return out;
 }

@@ -122,10 +122,6 @@ struct TaskTelemetryOptions {
   /// Seal pages to a background drainer thread (long interactive
   /// runs); false seals inline, which sweep workers use.
   bool stream_background = false;
-  /// If set, every event is mirrored as one JSON line through the
-  /// legacy direct-export path (telemetry::JsonlEventWriter).  The
-  /// ostream is thread-confined: rejected when jobs > 1.
-  std::ostream* events_jsonl = nullptr;
 };
 
 struct TaskExperimentParams {
@@ -184,9 +180,10 @@ struct ReplicaSweepResult {
 
 /// Run `replicas` independent repetitions of the experiment; the
 /// fabric is identical across replicas, replica r's traffic seed is
-/// derive_seed(sweep.root_seed, r).  Telemetry carrying raw pointers
-/// (TaskTelemetryOptions::metrics) is rejected when jobs > 1 — a
-/// registry is thread-confined with the network that feeds it.
+/// derive_seed(sweep.root_seed, r).  TaskTelemetryOptions::metrics
+/// receives every replica's registry folded in replica order, and a
+/// shared stream gets one stream id per replica, so both are identical
+/// for any jobs value.
 ReplicaSweepResult run_task_replicas(Fabric fabric, const FabricConfig& config,
                                      const TaskExperimentParams& params, int replicas,
                                      const SweepOptions& sweep = {});

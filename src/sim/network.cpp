@@ -54,13 +54,20 @@ void Network::add_sink(TelemetrySink* sink) {
   sinks_.push_back(sink);
 }
 
-void Network::remove_sink(TelemetrySink* sink) {
-  sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
-}
-
 void Network::set_stream_sink(telemetry::BinaryStreamSink* sink) {
   assert_owning_thread();
   stream_ = sink;
+}
+
+template <class F>
+void Network::emit(F&& f) {
+  if (stream_ != nullptr) f(*stream_);
+  for (TelemetrySink* sink : sinks_) f(*sink);
+}
+
+template <class F>
+void Network::emit_link(topo::LinkId link, F&& f) {
+  if (emits_link_events(link)) emit(std::forward<F>(f));
 }
 
 void Network::bind_shard(const ShardBinding& binding) {
@@ -87,10 +94,7 @@ void Network::fail_link(topo::LinkId link) {
   if (!up) return;
   up = 0;
   ++link_failures_;
-  if (emits_link_events(link)) {
-    if (stream_ != nullptr) stream_->on_link_state(link, /*up=*/false, now());
-    for (TelemetrySink* sink : sinks_) sink->on_link_state(link, /*up=*/false, now());
-  }
+  emit_link(link, [&](auto& sink) { sink.on_link_state(link, /*up=*/false, now()); });
   const std::uint32_t seq = ++link_seq_[static_cast<std::size_t>(link)];
   // The routing plane learns one detection delay later — unless the
   // link's state changed again in the meantime.
@@ -104,10 +108,7 @@ void Network::repair_link(topo::LinkId link) {
   if (up) return;
   up = 1;
   ++link_repairs_;
-  if (emits_link_events(link)) {
-    if (stream_ != nullptr) stream_->on_link_state(link, /*up=*/true, now());
-    for (TelemetrySink* sink : sinks_) sink->on_link_state(link, /*up=*/true, now());
-  }
+  emit_link(link, [&](auto& sink) { sink.on_link_state(link, /*up=*/true, now()); });
   const std::uint32_t seq = ++link_seq_[static_cast<std::size_t>(link)];
   events_.schedule_fault(now() + config_.failure_detection_delay,
                          FaultEvent{link, seq, /*dead=*/false});
@@ -116,10 +117,8 @@ void Network::repair_link(topo::LinkId link) {
 void Network::on_fault_event(const FaultEvent& event) {
   if (link_seq_[static_cast<std::size_t>(event.link)] != event.link_seq) return;
   failure_view_.set_dead(event.link, event.dead);
-  if (emits_link_events(event.link)) {
-    if (stream_ != nullptr) stream_->on_link_detected(event.link, event.dead, now());
-    for (TelemetrySink* sink : sinks_) sink->on_link_detected(event.link, event.dead, now());
-  }
+  emit_link(event.link,
+            [&](auto& sink) { sink.on_link_detected(event.link, event.dead, now()); });
 }
 
 bool Network::link_up(topo::LinkId link) const {
@@ -131,10 +130,7 @@ void Network::set_link_loss(topo::LinkId link, double p) {
   QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_loss_.size(), "unknown link");
   QUARTZ_REQUIRE(p >= 0.0 && p <= 1.0, "drop probability must be in [0,1]");
   link_loss_[static_cast<std::size_t>(link)] = p;
-  if (emits_link_events(link)) {
-    if (stream_ != nullptr) stream_->on_link_degraded(link, p, now());
-    for (TelemetrySink* sink : sinks_) sink->on_link_degraded(link, p, now());
-  }
+  emit_link(link, [&](auto& sink) { sink.on_link_degraded(link, p, now()); });
 }
 
 double Network::link_loss_rate(topo::LinkId link) const {
@@ -149,31 +145,23 @@ routing::LinkHealth Network::link_health(topo::LinkId link) const {
 }
 
 void Network::emit_probe(topo::LinkId link, bool delivered, TimePs when) {
-  if (!emits_link_events(link)) return;
-  if (stream_ != nullptr) stream_->on_probe(link, delivered, when);
-  for (TelemetrySink* sink : sinks_) sink->on_probe(link, delivered, when);
+  emit_link(link, [&](auto& sink) { sink.on_probe(link, delivered, when); });
 }
 
 void Network::emit_health_transition(topo::LinkId link, routing::LinkHealth from,
                                      routing::LinkHealth to, TimePs when) {
-  if (!emits_link_events(link)) return;
-  if (stream_ != nullptr) stream_->on_health_transition(link, from, to, when);
-  for (TelemetrySink* sink : sinks_) sink->on_health_transition(link, from, to, when);
+  emit_link(link, [&](auto& sink) { sink.on_health_transition(link, from, to, when); });
 }
 
 void Network::emit_flap_damped(topo::LinkId link, TimePs suppressed_until, TimePs when) {
-  if (!emits_link_events(link)) return;
-  if (stream_ != nullptr) stream_->on_flap_damped(link, suppressed_until, when);
-  for (TelemetrySink* sink : sinks_) sink->on_flap_damped(link, suppressed_until, when);
+  emit_link(link, [&](auto& sink) { sink.on_flap_damped(link, suppressed_until, when); });
 }
 
 void Network::drop(const Packet& packet, DropReason reason) {
   ++packets_dropped_;
   ++dropped_by_reason_[static_cast<std::size_t>(reason)];
   ++task_drops_[static_cast<std::size_t>(packet.task)];
-  for (const DropHandler& hook : drop_hooks_) hook(packet, reason);
-  if (stream_ != nullptr) stream_->on_drop(packet, reason, now());
-  for (TelemetrySink* sink : sinks_) sink->on_drop(packet, reason, now());
+  emit([&](auto& sink) { sink.on_drop(packet, reason, now()); });
 }
 
 int Network::new_task(DeliveryHandler handler) {
@@ -237,8 +225,7 @@ void Network::send(topo::NodeId src, topo::NodeId dst, Bits size, int task,
   ++packets_sent_;
 
   const TimePs ready = now() + config_.host_send_overhead;
-  if (stream_ != nullptr) stream_->on_send(packet, ready);
-  for (TelemetrySink* sink : sinks_) sink->on_send(packet, ready);
+  emit([&](auto& sink) { sink.on_send(packet, ready); });
   PacketEvent event;
   event.packet = packet;
   event.node = src;
@@ -283,14 +270,10 @@ void Network::on_packet_event(EventType type, PacketEvent& event) {
     case EventType::kDelivery: {
       ++packets_delivered_;
       const TimePs delivered = event.t0;
-      if (stream_ != nullptr) {
-        stream_->on_delivery(event.packet, delivered, delivered - event.packet.created);
-      }
-      for (TelemetrySink* sink : sinks_) {
-        sink->on_delivery(event.packet, delivered, delivered - event.packet.created);
-      }
+      const TimePs latency = delivered - event.packet.created;
+      emit([&](auto& sink) { sink.on_delivery(event.packet, delivered, latency); });
       const auto& handler = handlers_[static_cast<std::size_t>(event.packet.task)];
-      if (handler) handler(event.packet, delivered - event.packet.created);
+      if (handler) handler(event.packet, latency);
       return;
     }
     default:
@@ -301,9 +284,7 @@ void Network::on_packet_event(EventType type, PacketEvent& event) {
 void Network::arrive(Packet packet, topo::NodeId node, TimePs first_bit, TimePs last_bit) {
   const topo::Graph& graph = topo_->graph;
   QUARTZ_CHECK(owns_node(node), "packet arrived at a node this shard does not own");
-  for (const ArrivalHook& hook : arrival_hooks_) hook(packet, node, first_bit);
-  if (stream_ != nullptr) stream_->on_arrival(packet, node, first_bit, last_bit);
-  for (TelemetrySink* sink : sinks_) sink->on_arrival(packet, node, first_bit, last_bit);
+  emit([&](auto& sink) { sink.on_arrival(packet, node, first_bit, last_bit); });
 
   if (node == packet.key.dst) {
     const TimePs delivered = last_bit + config_.host_recv_overhead;
@@ -333,10 +314,7 @@ void Network::arrive(Packet packet, topo::NodeId node, TimePs first_bit, TimePs 
     min_finish = decision;
     kind = telemetry::HopKind::kServerRelay;
   }
-  if (stream_ != nullptr) stream_->on_forward(packet, node, kind, first_bit, last_bit, decision);
-  for (TelemetrySink* sink : sinks_) {
-    sink->on_forward(packet, node, kind, first_bit, last_bit, decision);
-  }
+  emit([&](auto& sink) { sink.on_forward(packet, node, kind, first_bit, last_bit, decision); });
   PacketEvent event;
   event.packet = std::move(packet);
   event.node = node;
@@ -381,12 +359,10 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
   busy_until = finish;
   line_active_[line] += finish - start;
   line_bits_[line] += packet.size;
-  if (stream_ != nullptr) {
-    stream_->on_transmit(packet, node, link_id, node == link.a ? 0 : 1, ready, start, finish);
-  }
-  for (TelemetrySink* sink : sinks_) {
-    sink->on_transmit(packet, node, link_id, node == link.a ? 0 : 1, ready, start, finish);
-  }
+  const int direction = node == link.a ? 0 : 1;
+  emit([&](auto& sink) {
+    sink.on_transmit(packet, node, link_id, direction, ready, start, finish);
+  });
 
   const topo::NodeId peer = link.other(node);
   const TimePs first_bit = start + link.propagation;

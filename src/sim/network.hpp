@@ -76,14 +76,6 @@ using TelemetrySink = telemetry::TelemetrySink;
 /// Called on final delivery with the packet and its end-to-end latency.
 using DeliveryHandler = std::function<void(const Packet&, TimePs latency)>;
 
-/// Called on every drop with the packet and the reason.
-using DropHandler = std::function<void(const Packet&, DropReason)>;
-
-/// Called on every node arrival (hosts and switches) with the packet,
-/// the node reached, and the first-bit arrival time.  For tracing and
-/// route-conformance checks; adds a branch per hop, nothing more.
-using ArrivalHook = std::function<void(const Packet&, topo::NodeId node, TimePs first_bit)>;
-
 /// How one Network participates in a sharded run (sim/sharded.hpp).
 /// The bound network restricts itself to the nodes it owns, stamps
 /// every packet event with shard_stamp(packet.id), allocates packet
@@ -128,12 +120,11 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   int new_task(DeliveryHandler handler);
 
   /// Attach a telemetry sink observing the full event stream (send,
-  /// transmit, arrival, forward, delivery, drop, link state).  The sink
-  /// must outlive the simulation; any number may be attached and each
-  /// event fans out to all of them in attachment order.
+  /// transmit, arrival, forward, delivery, drop, link state) — the one
+  /// way to observe a run.  The sink must outlive the simulation; any
+  /// number may be attached and each event fans out to all of them in
+  /// attachment order, after the stream sink.
   void add_sink(TelemetrySink* sink);
-  /// Detach a previously attached sink (no-op if absent).
-  void remove_sink(TelemetrySink* sink);
 
   /// Dedicated fast path for binary event-stream capture: unlike
   /// add_sink's virtual fan-out, the BinaryStreamSink is a known
@@ -143,16 +134,6 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   /// simulation; nullptr detaches.  Like every sink it is passive and
   /// thread-confined with the network.
   void set_stream_sink(telemetry::BinaryStreamSink* sink);
-  telemetry::BinaryStreamSink* stream_sink() const { return stream_; }
-
-  /// Add a tracing hook observing every node arrival.  Hooks accumulate:
-  /// each registered hook fires on every arrival, so independent
-  /// observers never displace one another.
-  void add_arrival_hook(ArrivalHook hook) { arrival_hooks_.push_back(std::move(hook)); }
-
-  /// Add a hook observing every drop (with its reason).  Accumulates
-  /// like add_arrival_hook.
-  void add_drop_hook(DropHandler hook) { drop_hooks_.push_back(std::move(hook)); }
 
   /// Inject a packet now.  `flow_id` identifies the flow for ECMP/VLB
   /// hashing (packets of one flow share a path); `tag` is carried
@@ -217,7 +198,7 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   /// Serialize the full simulation state: the engine (with every
   /// pending event) plus link/line/loss state, RNG, failure view and
   /// packet counters.  Structural members (topology, oracle, FIB,
-  /// sinks, hooks, task handlers) are NOT serialized — the restoring
+  /// sinks, task handlers) are NOT serialized — the restoring
   /// harness reconstructs them identically and then calls restore().
   /// FIB/oracle epochs need no serialization either: a fresh FIB starts
   /// at epoch 0, never matches a bumped view epoch, and recompiles
@@ -333,8 +314,16 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   /// next line.  `decision_ready` is when the output port may start.
   void transmit(Packet packet, topo::NodeId node, TimePs decision_ready, TimePs last_bit_in);
 
-  /// Account a drop (global, per-reason, per-task) and fire the hook.
+  /// Account a drop (global, per-reason, per-task) and emit it.
   void drop(const Packet& packet, DropReason reason);
+
+  /// The one observation fan-out: `f(sink)` on the stream sink (a
+  /// `final` type, so the call devirtualizes), then on each attached
+  /// sink in order.  emit_link adds the link-event shard dedup.
+  template <class F>
+  void emit(F&& f);
+  template <class F>
+  void emit_link(topo::LinkId link, F&& f);
 
   /// Tie-break stamp for a packet event: shard_stamp in shard mode
   /// (schedule-order independent), 0 otherwise (pure schedule order).
@@ -349,7 +338,7 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   }
 
   /// Thread-confinement contract: the constructing thread drives the
-  /// whole simulation (engine, sinks, hooks).
+  /// whole simulation (engine, sinks).
   void assert_owning_thread() const {
     QUARTZ_CHECK(std::this_thread::get_id() == owner_,
                  "Network is thread-confined: drive it from the thread that built it");
@@ -378,8 +367,6 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   Rng loss_rng_;
   routing::FailureView failure_view_;
   std::vector<DeliveryHandler> handlers_;
-  std::vector<ArrivalHook> arrival_hooks_;
-  std::vector<DropHandler> drop_hooks_;
   std::vector<TelemetrySink*> sinks_;
   telemetry::BinaryStreamSink* stream_ = nullptr;
   std::vector<std::uint64_t> task_drops_;

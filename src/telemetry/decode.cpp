@@ -535,4 +535,10 @@ DecodeStats decode_stream(std::istream& in, const std::vector<TelemetrySink*>& s
   return decode_streams({&in}, sinks);
 }
 
+DecodeStats decode_jsonl(const std::vector<std::istream*>& files, std::ostream& out,
+                         const DecodeOptions& options) {
+  JsonlEventWriter writer(out);
+  return decode_streams(files, {&writer}, options);
+}
+
 }  // namespace quartz::telemetry

@@ -78,11 +78,19 @@ DecodeStats decode_streams(const std::vector<std::istream*>& files,
 /// Single-file convenience.
 DecodeStats decode_stream(std::istream& in, const std::vector<TelemetrySink*>& sinks);
 
+/// Decode `files` through a JsonlEventWriter into `out`: what
+/// `quartz_decode` prints and every CLI's --telemetry=jsonl writes, in
+/// the (time, stream, seq) merge order — multi-run captures (sweep
+/// cells, replicas) interleave by time, not run after run.
+DecodeStats decode_jsonl(const std::vector<std::istream*>& files, std::ostream& out,
+                         const DecodeOptions& options = {});
+
 /// The canonical JSONL projection of the event stream: one compact
 /// JSON object per event, integer-picosecond times, only fields the
-/// binary stream preserves.  Attach it live (the legacy direct-export
-/// path) or feed it from decode_streams(): the two outputs are
-/// byte-identical, which is the determinism digest CI relies on.
+/// binary stream preserves.  Fed from decode_streams() in production;
+/// tests and bench_telemetry also attach it to a live Network beside a
+/// BinaryStreamSink and require the decoded capture to match it byte
+/// for byte — the reference that pins the capture as lossless.
 class JsonlEventWriter final : public TelemetrySink {
  public:
   explicit JsonlEventWriter(std::ostream& os) : os_(&os) {}
@@ -111,8 +119,8 @@ class JsonlEventWriter final : public TelemetrySink {
   std::uint64_t events_ = 0;
 };
 
-/// FNV-1a over a byte range — the digest CI compares between the
-/// decoded and the live-exported JSONL.
+/// FNV-1a over a byte range — the digest `quartz_decode --digest`
+/// prints for a decoded JSONL.
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t seed = 1469598103934665603ull);
 

@@ -17,6 +17,12 @@ LatencyRecorder& MetricRegistry::latency(const std::string& name) {
   return latencies_[name];
 }
 
+void MetricRegistry::merge(const MetricRegistry& other) {
+  for (const auto& [name, c] : other.counters_) counter(name).inc(c.value());
+  for (const auto& [name, g] : other.gauges_) gauge(name).set(g.value());
+  for (const auto& [name, l] : other.latencies_) latency(name).merge(l);
+}
+
 void MetricRegistry::write_csv(std::ostream& os) const {
   os << "name,kind,count,value,p50_us,p99_us,max_us\n";
   for (const auto& [name, c] : counters_) {

@@ -46,6 +46,7 @@ class LatencyRecorder {
  public:
   void add_us(double us) { histogram_.add(us); }
   void add(TimePs t) { histogram_.add(to_microseconds(t)); }
+  void merge(const LatencyRecorder& other) { histogram_.merge(other.histogram_); }
 
   std::size_t count() const { return static_cast<std::size_t>(histogram_.count()); }
   bool empty() const { return histogram_.empty(); }
@@ -72,6 +73,11 @@ class MetricRegistry {
   LatencyRecorder& latency(const std::string& name);
 
   std::size_t size() const { return counters_.size() + gauges_.size() + latencies_.size(); }
+
+  /// Fold `other` in: counters add, gauges take its value, latency
+  /// histograms merge.  Sweeps give each run its own registry and fold
+  /// them in run order, so the result is the same for any worker count.
+  void merge(const MetricRegistry& other);
 
   /// name,kind,count,value,p50_us,p99_us,max_us — one row per metric,
   /// sorted by name within each kind.

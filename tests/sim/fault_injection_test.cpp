@@ -53,12 +53,15 @@ TEST(FaultInjection, TransmitOntoDeadLinkIsDroppedAndCounted) {
   net.fail_link(direct);  // double fail is idempotent
   EXPECT_EQ(net.link_failures(), 1u);
 
-  int hook_drops = 0;
-  DropReason hook_reason = DropReason::kQueueOverflow;
-  net.add_drop_hook([&](const Packet&, DropReason reason) {
-    ++hook_drops;
-    hook_reason = reason;
-  });
+  struct DropSink final : TelemetrySink {
+    int drops = 0;
+    DropReason reason = DropReason::kQueueOverflow;
+    void on_drop(const Packet&, DropReason why, TimePs) override {
+      ++drops;
+      reason = why;
+    }
+  } sink;
+  net.add_sink(&sink);
   const int task = net.new_task({});
   net.send(host_of(t, t.tors[0]), host_of(t, t.tors[1]), bytes(400), task, 1);
   net.run_until(milliseconds(1));
@@ -68,8 +71,8 @@ TEST(FaultInjection, TransmitOntoDeadLinkIsDroppedAndCounted) {
   EXPECT_EQ(net.packets_dropped(DropReason::kLinkDown), 1u);
   EXPECT_EQ(net.packets_dropped(DropReason::kQueueOverflow), 0u);
   EXPECT_EQ(net.task_drops(task), 1u);
-  EXPECT_EQ(hook_drops, 1);
-  EXPECT_EQ(hook_reason, DropReason::kLinkDown);
+  EXPECT_EQ(sink.drops, 1);
+  EXPECT_EQ(sink.reason, DropReason::kLinkDown);
 
   // After repair the same pair delivers again.
   net.repair_link(direct);
@@ -172,10 +175,15 @@ TEST(FaultInjection, ScriptedCutShowsLossOnlyInsideDetectionWindow) {
   std::vector<TimePs> dropped;
   const int task = net.new_task(
       [&](const Packet& p, TimePs) { delivered.emplace_back(net.now(), p.hops); });
-  net.add_drop_hook([&](const Packet&, DropReason reason) {
-    EXPECT_EQ(reason, DropReason::kLinkDown);
-    dropped.push_back(net.now());
-  });
+  struct DropTimes final : TelemetrySink {
+    std::vector<TimePs>* dropped;
+    explicit DropTimes(std::vector<TimePs>* out) : dropped(out) {}
+    void on_drop(const Packet&, DropReason reason, TimePs when) override {
+      EXPECT_EQ(reason, DropReason::kLinkDown);
+      dropped->push_back(when);
+    }
+  } sink(&dropped);
+  net.add_sink(&sink);
 
   for (int i = 0; i < 4'000; ++i) {
     net.at(milliseconds(1) * i, [&net, src, dst, task] {

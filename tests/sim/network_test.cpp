@@ -30,6 +30,21 @@ struct Fixture {
   }
 };
 
+/// Test probe: counts arrivals, deliveries and drops, and records the
+/// node of every arrival (the packet's route).
+struct ProbeSink final : TelemetrySink {
+  std::vector<NodeId> route;
+  int arrivals = 0;
+  int deliveries = 0;
+  std::uint64_t drops = 0;
+  void on_arrival(const Packet&, NodeId node, TimePs, TimePs) override {
+    route.push_back(node);
+    ++arrivals;
+  }
+  void on_delivery(const Packet&, TimePs, TimePs) override { ++deliveries; }
+  void on_drop(const Packet&, DropReason, TimePs) override { ++drops; }
+};
+
 TEST(Network, CutThroughLatencyArithmetic) {
   // One ULL switch at 10 Gb/s, zero propagation.  400B packet: the
   // host serializes 320 ns; the cut-through decision lands at first
@@ -208,10 +223,9 @@ TEST(Network, ArrivalHookTracesTheRoute) {
   routing::EcmpOracle oracle(routing);
   Network net(topo, oracle);
 
-  std::vector<topo::NodeId> trace;
-  net.add_arrival_hook([&trace](const Packet&, topo::NodeId node, TimePs) {
-    trace.push_back(node);
-  });
+  ProbeSink probe;
+  net.add_sink(&probe);
+  const std::vector<NodeId>& trace = probe.route;
   const int task = net.new_task({});
   net.send(topo.host_groups[0][0], topo.host_groups[3][1], bytes(400), task, 1);
   net.run_until(milliseconds(1));
@@ -224,19 +238,19 @@ TEST(Network, ArrivalHookTracesTheRoute) {
 }
 
 TEST(Network, TwoArrivalSubscribersBothFire) {
-  // Regression: hook registration used to be last-writer-wins, so a
-  // second subscriber silently replaced the first.
+  // Regression: observer registration used to be last-writer-wins, so
+  // a second subscriber silently replaced the first.
   auto f = Fixture::single_switch(topo::SwitchModel::ull(), gigabits_per_second(10));
   Network net(f.topo, *f.oracle);
-  int first = 0;
-  int second = 0;
-  net.add_arrival_hook([&first](const Packet&, topo::NodeId, TimePs) { ++first; });
-  net.add_arrival_hook([&second](const Packet&, topo::NodeId, TimePs) { ++second; });
+  ProbeSink first;
+  ProbeSink second;
+  net.add_sink(&first);
+  net.add_sink(&second);
   const int task = net.new_task({});
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   net.run_until(milliseconds(1));
-  EXPECT_EQ(first, 2);  // switch + destination host
-  EXPECT_EQ(second, 2);
+  EXPECT_EQ(first.arrivals, 2);  // switch + destination host
+  EXPECT_EQ(second.arrivals, 2);
 }
 
 TEST(Network, TwoDropSubscribersBothFire) {
@@ -244,48 +258,31 @@ TEST(Network, TwoDropSubscribersBothFire) {
   SimConfig config;
   config.max_queue_delay = microseconds(1);
   Network net(f.topo, *f.oracle, config);
-  std::uint64_t first = 0;
-  std::uint64_t second = 0;
-  net.add_drop_hook([&first](const Packet&, DropReason) { ++first; });
-  net.add_drop_hook([&second](const Packet&, DropReason) { ++second; });
+  ProbeSink first;
+  ProbeSink second;
+  net.add_sink(&first);
+  net.add_sink(&second);
   const int task = net.new_task({});
   for (int i = 0; i < 50; ++i) {
     net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   }
   net.run_until(milliseconds(1));
   ASSERT_GT(net.packets_dropped(), 0u);
-  EXPECT_EQ(first, net.packets_dropped());
-  EXPECT_EQ(second, net.packets_dropped());
+  EXPECT_EQ(first.drops, net.packets_dropped());
+  EXPECT_EQ(second.drops, net.packets_dropped());
 }
 
 TEST(Network, SinkAndHookCoexist) {
-  // A telemetry sink and an arrival hook observe the same events, and a
-  // removed sink stops observing.
-  struct CountingSink final : TelemetrySink {
-    int arrivals = 0;
-    int deliveries = 0;
-    void on_arrival(const Packet&, topo::NodeId, TimePs, TimePs) override { ++arrivals; }
-    void on_delivery(const Packet&, TimePs, TimePs) override { ++deliveries; }
-  };
+  // An attached sink sees every arrival and delivery of a packet.
   auto f = Fixture::single_switch(topo::SwitchModel::ull(), gigabits_per_second(10));
   Network net(f.topo, *f.oracle);
-  CountingSink sink;
+  ProbeSink sink;
   net.add_sink(&sink);
-  int hook_arrivals = 0;
-  net.add_arrival_hook(
-      [&hook_arrivals](const Packet&, topo::NodeId, TimePs) { ++hook_arrivals; });
   const int task = net.new_task({});
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   net.run_until(milliseconds(1));
   EXPECT_EQ(sink.arrivals, 2);
-  EXPECT_EQ(hook_arrivals, 2);
   EXPECT_EQ(sink.deliveries, 1);
-
-  net.remove_sink(&sink);
-  net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 2);
-  net.run_until(net.now() + milliseconds(1));
-  EXPECT_EQ(sink.arrivals, 2);  // unchanged after removal
-  EXPECT_EQ(hook_arrivals, 4);
 }
 
 TEST(Network, TracedHopsMatchRoutingDistance) {
@@ -297,8 +294,9 @@ TEST(Network, TracedHopsMatchRoutingDistance) {
   routing::EcmpOracle oracle(routing);
   Network net(topo, oracle);
 
-  int arrivals = 0;
-  net.add_arrival_hook([&arrivals](const Packet&, topo::NodeId, TimePs) { ++arrivals; });
+  ProbeSink probe;
+  net.add_sink(&probe);
+  int& arrivals = probe.arrivals;
   const int task = net.new_task({});
   Rng rng(57);
   for (int i = 0; i < 100; ++i) {

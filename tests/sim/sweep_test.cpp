@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -178,17 +179,25 @@ TEST(RunTaskReplicas, ReplicasAreIndependentButDeterministic) {
   }
 }
 
-TEST(RunTaskReplicas, RejectsSharedMetricsRegistryWhenParallel) {
-  telemetry::MetricRegistry metrics(true);
-  TaskExperimentParams params = small_experiment();
-  params.telemetry.metrics = &metrics;
-  SweepOptions sweep;
-  sweep.jobs = 4;
-  EXPECT_THROW(run_task_replicas(Fabric::kThreeTierTree, {}, params, 2, sweep),
-               std::invalid_argument);
-  // Serial replica sweeps may keep the registry.
-  sweep.jobs = 1;
-  EXPECT_NO_THROW(run_task_replicas(Fabric::kThreeTierTree, {}, params, 2, sweep));
+TEST(RunTaskReplicas, SharedMetricsRegistryIsByteIdenticalAcrossJobs) {
+  // Each replica publishes into its own registry, folded into the
+  // caller's in replica order, so a parallel sweep may take a registry
+  // and exports exactly what the serial one does.
+  auto export_csv = [](int jobs) {
+    telemetry::MetricRegistry metrics(true);
+    TaskExperimentParams params = small_experiment();
+    params.telemetry.metrics = &metrics;
+    SweepOptions sweep;
+    sweep.jobs = jobs;
+    run_task_replicas(Fabric::kThreeTierTree, {}, params, 3, sweep);
+    std::ostringstream csv;
+    metrics.write_csv(csv);
+    return csv.str();
+  };
+  const std::string serial = export_csv(1);
+  EXPECT_NE(serial.find("sim.packets_sent"), std::string::npos);
+  EXPECT_NE(serial.find("task.latency_us"), std::string::npos);
+  EXPECT_EQ(serial, export_csv(4));
 }
 
 }  // namespace

@@ -82,5 +82,22 @@ TEST(MetricRegistry, JsonDumpMentionsEveryMetric) {
   EXPECT_NE(json.find("rtt"), std::string::npos);
 }
 
+TEST(MetricRegistry, MergeAddsCountersTakesGaugesAndMergesLatencies) {
+  MetricRegistry total;
+  total.counter("packets").inc(2);
+  total.latency("rtt").add_us(1.0);
+  MetricRegistry run;
+  run.counter("packets").inc(3);
+  run.counter("drops").inc(1);
+  run.gauge("duration_ms").set(10.0);
+  run.latency("rtt").add_us(5.0);
+  total.merge(run);
+  EXPECT_EQ(total.counter("packets").value(), 5u);
+  EXPECT_EQ(total.counter("drops").value(), 1u);
+  EXPECT_DOUBLE_EQ(total.gauge("duration_ms").value(), 10.0);
+  EXPECT_EQ(total.latency("rtt").count(), 2u);
+  EXPECT_DOUBLE_EQ(total.latency("rtt").max_us(), 5.0);
+}
+
 }  // namespace
 }  // namespace quartz::telemetry
