@@ -15,9 +15,16 @@ namespace quartz::topo {
 /// forces).  Physical rings are numbered from `phys_ring_base`.
 int add_quartz_mesh(Graph& graph, const std::vector<NodeId>& ring, BitsPerSecond rate,
                     TimePs propagation, int channels_per_mux, int phys_ring_base) {
-  const int m = static_cast<int>(ring.size());
-  if (m < 2) return 0;
-  const wavelength::Assignment plan = wavelength::greedy_assign(m);
+  if (ring.size() < 2) return 0;
+  return add_quartz_mesh(graph, ring, wavelength::greedy_assign(static_cast<int>(ring.size())),
+                         rate, propagation, channels_per_mux, phys_ring_base);
+}
+
+int add_quartz_mesh(Graph& graph, const std::vector<NodeId>& ring,
+                    const wavelength::Assignment& plan, BitsPerSecond rate, TimePs propagation,
+                    int channels_per_mux, int phys_ring_base) {
+  QUARTZ_REQUIRE(plan.ring_size == static_cast<int>(ring.size()),
+                 "channel plan is for a different ring size");
   const int rings = wavelength::rings_required(plan.channels_used, channels_per_mux);
   for (const auto& p : plan.paths) {
     const int phys = phys_ring_base + wavelength::ring_for_channel(p.channel, rings);

@@ -14,6 +14,7 @@
 
 #include "common/rng.hpp"
 #include "topo/graph.hpp"
+#include "wavelength/lightpath.hpp"
 
 namespace quartz::topo {
 
@@ -149,6 +150,14 @@ BuiltTopology quartz_ring(const QuartzRingParams& params);
 /// Returns the number of physical rings the plan consumed.
 int add_quartz_mesh(Graph& graph, const std::vector<NodeId>& ring, BitsPerSecond rate,
                     TimePs propagation, int channels_per_mux, int phys_ring_base = 0);
+
+/// Same, over a channel plan the caller already holds.  The plan
+/// depends only on the ring size (§3.1), so a builder stamping many
+/// equal-size rings computes it once.  `plan.ring_size` must equal
+/// `ring.size()`.
+int add_quartz_mesh(Graph& graph, const std::vector<NodeId>& ring,
+                    const wavelength::Assignment& plan, BitsPerSecond rate, TimePs propagation,
+                    int channels_per_mux, int phys_ring_base = 0);
 
 /// Fig. 15(b): 3-tier tree whose core switches are replaced by one
 /// Quartz ring; every aggregation switch gets one fabric-rate link to a

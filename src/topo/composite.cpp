@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
+#include "wavelength/assign.hpp"
 
 namespace quartz::topo {
 namespace {
@@ -14,6 +16,28 @@ bool parse_int(std::string_view text, int* out) {
   const auto* end = text.data() + text.size();
   const auto result = std::from_chars(text.data(), end, *out);
   return result.ec == std::errc{} && result.ptr == end;
+}
+
+/// Why `spec` cannot be built, or empty when it can.
+std::string spec_error(const CompositeSpec& spec) {
+  if (spec.kind != "ring-of-rings" && spec.kind != "ring-of-trees") {
+    return "unknown composite kind '" + spec.kind + "' (ring-of-rings | ring-of-trees)";
+  }
+  if (spec.levels() < 2 || spec.levels() > 4) {
+    return "composite spec wants 2..4 levels, e.g. ring-of-rings:8x8";
+  }
+  for (const int d : spec.dims) {
+    if (d < 2 || d > 4096) return "composite dims must be in [2, 4096]";
+  }
+  if (spec.kind == "ring-of-rings" && spec.dims.back() > wavelength::kMaxRingSize) {
+    return "ring-of-rings leaf rings hold at most " + std::to_string(wavelength::kMaxRingSize) +
+           " switches, got " + std::to_string(spec.dims.back());
+  }
+  if (spec.switch_count() > std::numeric_limits<NodeId>::max()) {
+    return "composite spec has " + std::to_string(spec.switch_count()) +
+           " switches, more than a node id can number";
+  }
+  return {};
 }
 
 /// A plain Quartz ring element: exactly one ring covering every switch.
@@ -49,9 +73,6 @@ std::optional<CompositeSpec> CompositeSpec::parse(std::string_view text, std::st
   const auto colon = text.find(':');
   if (colon == std::string_view::npos) return fail("composite spec wants kind:dims, e.g. ring-of-rings:8x8");
   spec.kind = std::string(text.substr(0, colon));
-  if (spec.kind != "ring-of-rings" && spec.kind != "ring-of-trees") {
-    return fail("unknown composite kind '" + spec.kind + "' (ring-of-rings | ring-of-trees)");
-  }
   std::string_view rest = text.substr(colon + 1);
 
   if (const auto plus = rest.find('+'); plus != std::string_view::npos) {
@@ -80,9 +101,7 @@ std::optional<CompositeSpec> CompositeSpec::parse(std::string_view text, std::st
     rest = rest.substr(x + 1);
     if (rest.empty()) return fail("trailing 'x' in composite dims");
   }
-  if (spec.dims.size() < 2 || spec.dims.size() > 4) {
-    return fail("composite spec wants 2..4 levels, e.g. ring-of-rings:8x8");
-  }
+  if (std::string problem = spec_error(spec); !problem.empty()) return fail(std::move(problem));
   return spec;
 }
 
@@ -124,6 +143,15 @@ BuiltTopology compose_in_ring(std::vector<BuiltTopology> elements, const Compose
   BuiltTopology out;
   out.name = params.name;
   Graph& g = out.graph;
+  const std::size_t trunk_count = static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1) /
+                                  2 * static_cast<std::size_t>(params.trunks_per_pair);
+  std::size_t total_nodes = 0;
+  std::size_t total_links = trunk_count;
+  for (const auto& e : elements) {
+    total_nodes += e.graph.node_count();
+    total_links += e.graph.link_count();
+  }
+  g.reserve(total_nodes, total_links);
 
   // --- splice every element's graph and role lists.
   std::vector<NodeId> node_base(static_cast<std::size_t>(n));
@@ -140,26 +168,9 @@ BuiltTopology compose_in_ring(std::vector<BuiltTopology> elements, const Compose
     std::vector<int> model_map;
     model_map.reserve(cg.models().size());
     for (const SwitchModel& model : cg.models()) model_map.push_back(g.add_model(model));
-
-    int max_rack = -1;
-    for (const Node& node : cg.nodes()) {
-      const int rack = node.rack < 0 ? -1 : rack_cursor + node.rack;
-      if (node.kind == NodeKind::kHost) {
-        g.add_host(node.label, rack);
-      } else {
-        g.add_switch(model_map[static_cast<std::size_t>(node.model)], node.label, rack);
-      }
-      max_rack = std::max(max_rack, node.rack);
-    }
-    rack_cursor += max_rack + 1;
-
-    int max_phys = -1;
-    for (const Link& link : cg.links()) {
-      g.add_link(nbase + link.a, nbase + link.b, link.rate, link.propagation,
-                 link.wdm_ring < 0 ? -1 : phys_cursor + link.wdm_ring, link.wdm_channel);
-      max_phys = std::max(max_phys, link.wdm_ring);
-    }
-    phys_cursor += max_phys + 1;
+    const SpliceExtent extent = g.splice(cg, model_map, rack_cursor, phys_cursor);
+    rack_cursor += extent.racks;
+    phys_cursor += extent.wdm_rings;
 
     for (const NodeId h : e.hosts) out.hosts.push_back(nbase + h);
     for (const NodeId t : e.tors) out.tors.push_back(nbase + t);
@@ -334,8 +345,8 @@ namespace {
 
 /// One leaf Quartz ring with short labels and per-switch racks; hosts
 /// are materialized per the spec plus the foreground-slot override.
-BuiltTopology build_leaf_ring(const CompositeParams& params, std::int64_t leaf,
-                              std::int64_t* foreground_cursor) {
+BuiltTopology build_leaf_ring(const CompositeParams& params, const wavelength::Assignment& plan,
+                              std::int64_t leaf, std::int64_t* foreground_cursor) {
   const int m = params.spec.dims.back();
   BuiltTopology topo;
   topo.name = "leaf-ring";
@@ -359,7 +370,7 @@ BuiltTopology build_leaf_ring(const CompositeParams& params, std::int64_t leaf,
       topo.hosts.push_back(host);
     }
   }
-  add_quartz_mesh(g, ring, params.mesh_rate, params.links.fabric_propagation,
+  add_quartz_mesh(g, ring, plan, params.mesh_rate, params.links.fabric_propagation,
                   params.channels_per_mux);
   topo.quartz_rings.push_back(std::move(ring));
   if (!topo.hosts.empty()) topo.host_groups.push_back(topo.hosts);
@@ -381,21 +392,22 @@ BuiltTopology build_leaf_tree(const CompositeParams& params, std::int64_t leaf) 
 
 BuiltTopology build_composite(const CompositeParams& params) {
   const CompositeSpec& spec = params.spec;
-  QUARTZ_REQUIRE(spec.levels() >= 2 && spec.levels() <= 4, "composite spec wants 2..4 levels");
-  for (const int d : spec.dims) QUARTZ_REQUIRE(d >= 2, "composite dims must be >= 2");
-  QUARTZ_REQUIRE(spec.kind == "ring-of-rings" || spec.kind == "ring-of-trees",
-                 "unknown composite kind " + spec.kind);
+  const std::string problem = spec_error(spec);
+  QUARTZ_REQUIRE(problem.empty(), problem);
 
   std::int64_t leaf_count = 1;
   for (std::size_t l = 0; l + 1 < spec.dims.size(); ++l) leaf_count *= spec.dims[l];
 
+  // Every leaf ring has the same size, hence the same channel plan.
+  const bool rings = spec.kind == "ring-of-rings";
+  const wavelength::Assignment plan =
+      rings ? wavelength::greedy_assign(spec.dims.back()) : wavelength::Assignment{};
   std::vector<BuiltTopology> elements;
   elements.reserve(static_cast<std::size_t>(leaf_count));
   std::int64_t foreground_cursor = 0;
   for (std::int64_t e = 0; e < leaf_count; ++e) {
-    elements.push_back(spec.kind == "ring-of-trees"
-                           ? build_leaf_tree(params, e)
-                           : build_leaf_ring(params, e, &foreground_cursor));
+    elements.push_back(rings ? build_leaf_ring(params, plan, e, &foreground_cursor)
+                             : build_leaf_tree(params, e));
   }
 
   ComposeParams compose;

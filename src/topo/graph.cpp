@@ -1,5 +1,6 @@
 #include "topo/graph.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "common/check.hpp"
@@ -41,6 +42,46 @@ LinkId Graph::add_link(NodeId a, NodeId b, BitsPerSecond rate, TimePs propagatio
   adjacency_[static_cast<std::size_t>(a)].push_back(Adjacency{id, b});
   adjacency_[static_cast<std::size_t>(b)].push_back(Adjacency{id, a});
   return id;
+}
+
+void Graph::reserve(std::size_t nodes, std::size_t links) {
+  nodes_.reserve(nodes);
+  adjacency_.reserve(nodes);
+  links_.reserve(links);
+}
+
+SpliceExtent Graph::splice(const Graph& child, std::span<const int> model_map, int rack_offset,
+                           int wdm_ring_offset) {
+  QUARTZ_REQUIRE(&child != this, "a graph cannot splice itself");
+  QUARTZ_REQUIRE(model_map.size() == child.models_.size(),
+                 "model map must cover the child's models");
+  for (const int model : model_map) {
+    QUARTZ_REQUIRE(model >= 0 && model < static_cast<int>(models_.size()), "unknown switch model");
+  }
+  QUARTZ_REQUIRE(rack_offset >= 0 && wdm_ring_offset >= 0, "splice offsets cannot be negative");
+  const auto node_base = static_cast<NodeId>(nodes_.size());
+  const auto link_base = static_cast<LinkId>(links_.size());
+  SpliceExtent extent;
+
+  for (const Node& n : child.nodes_) {
+    const int model =
+        n.kind == NodeKind::kSwitch ? model_map[static_cast<std::size_t>(n.model)] : -1;
+    nodes_.push_back(Node{node_base + n.id, n.kind, model, n.rack < 0 ? -1 : rack_offset + n.rack,
+                          n.label});
+    extent.racks = std::max(extent.racks, n.rack + 1);
+    const auto& from = child.adjacency_[static_cast<std::size_t>(n.id)];
+    auto& to = adjacency_.emplace_back();
+    to.reserve(from.size());
+    for (const Adjacency& adj : from) {
+      to.push_back(Adjacency{link_base + adj.link, node_base + adj.peer});
+    }
+  }
+  for (const Link& l : child.links_) {
+    links_.push_back(Link{link_base + l.id, node_base + l.a, node_base + l.b, l.rate, l.propagation,
+                          l.wdm_ring < 0 ? -1 : wdm_ring_offset + l.wdm_ring, l.wdm_channel});
+    extent.wdm_rings = std::max(extent.wdm_rings, l.wdm_ring + 1);
+  }
+  return extent;
 }
 
 const Node& Graph::node(NodeId id) const {

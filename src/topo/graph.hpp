@@ -55,6 +55,13 @@ struct Adjacency {
   NodeId peer = kInvalidNode;
 };
 
+/// Label ranges a spliced child graph used: one past its highest rack
+/// and its highest WDM physical ring (0 when it has none).
+struct SpliceExtent {
+  int racks = 0;
+  int wdm_rings = 0;
+};
+
 class Graph {
  public:
   /// Register a switch model; returns its index for add_switch().
@@ -65,6 +72,17 @@ class Graph {
 
   LinkId add_link(NodeId a, NodeId b, BitsPerSecond rate, TimePs propagation,
                   int wdm_ring = -1, int wdm_channel = -1);
+
+  /// Capacity hint for the builders that know their final size.
+  void reserve(std::size_t nodes, std::size_t links);
+
+  /// Appends all of `child` in one pass: node ids shift by node_count(),
+  /// link ids by link_count(), child model i becomes model_map[i], and
+  /// racks / WDM rings shift by the given offsets (-1 stays -1).  Each
+  /// adjacency list keeps the child's order, which is the order
+  /// replaying the child's add_link calls would produce.
+  SpliceExtent splice(const Graph& child, std::span<const int> model_map, int rack_offset,
+                      int wdm_ring_offset);
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "topo/builders.hpp"
+#include "wavelength/assign.hpp"
+
 namespace quartz::topo {
 namespace {
 
@@ -107,6 +112,170 @@ TEST(Graph, WdmMetadataStored) {
                               /*wdm_channel=*/42);
   EXPECT_EQ(g.link(l).wdm_ring, 1);
   EXPECT_EQ(g.link(l).wdm_channel, 42);
+}
+
+void expect_same_link(const Link& x, const Link& y) {
+  EXPECT_EQ(x.id, y.id);
+  EXPECT_EQ(x.a, y.a);
+  EXPECT_EQ(x.b, y.b);
+  EXPECT_EQ(x.rate, y.rate);
+  EXPECT_EQ(x.propagation, y.propagation);
+  EXPECT_EQ(x.wdm_ring, y.wdm_ring);
+  EXPECT_EQ(x.wdm_channel, y.wdm_channel);
+}
+
+/// Two switch models, a host without a rack, WDM and plain links, and
+/// a parallel link so adjacency order is not trivially sorted.
+Graph splice_child() {
+  Graph g;
+  const int ull = g.add_model(SwitchModel::ull());
+  const int ccs = g.add_model(SwitchModel::ccs());
+  const NodeId s0 = g.add_switch(ccs, "s0", 0);
+  const NodeId h = g.add_host("h");
+  const NodeId s1 = g.add_switch(ull, "s1", 2);
+  g.add_link(h, s0, gigabits_per_second(10), nanoseconds(25));
+  g.add_link(s1, s0, gigabits_per_second(40), nanoseconds(250), /*wdm_ring=*/1,
+             /*wdm_channel=*/5);
+  g.add_link(s0, s1, gigabits_per_second(40), nanoseconds(300));
+  g.add_link(s1, h, gigabits_per_second(10), nanoseconds(25));
+  return g;
+}
+
+/// A parent that already holds nodes, links and one model, so every id
+/// and label range has a non-zero base.
+Graph splice_parent() {
+  Graph g;
+  const int ull = g.add_model(SwitchModel::ull());
+  const NodeId a = g.add_switch(ull, "a", 0);
+  const NodeId b = g.add_switch(ull, "b", 1);
+  g.add_link(a, b, gigabits_per_second(40), 0, /*wdm_ring=*/0, /*wdm_channel=*/0);
+  return g;
+}
+
+TEST(Graph, SpliceShiftsIdsAndRemapsLabels) {
+  const Graph child = splice_child();
+  Graph g = splice_parent();
+  // Child model 0 (ULL) reuses the parent's; child model 1 is new.
+  const std::vector<int> model_map = {0, g.add_model(SwitchModel::ccs())};
+  const SpliceExtent extent = g.splice(child, model_map, /*rack_offset=*/2,
+                                       /*wdm_ring_offset=*/1);
+  EXPECT_EQ(extent.racks, 3);
+  EXPECT_EQ(extent.wdm_rings, 2);
+
+  ASSERT_EQ(g.node_count(), 5u);
+  ASSERT_EQ(g.link_count(), 5u);
+  for (std::size_t i = 0; i < g.node_count(); ++i) {
+    EXPECT_EQ(g.nodes()[i].id, static_cast<NodeId>(i));
+  }
+  const Node& s0 = g.node(2);
+  EXPECT_EQ(s0.label, "s0");
+  EXPECT_TRUE(g.is_switch(2));
+  EXPECT_EQ(s0.model, 1);
+  EXPECT_EQ(s0.rack, 2);
+  EXPECT_EQ(g.model_of(2).latency, SwitchModel::ccs().latency);
+  const Node& h = g.node(3);
+  EXPECT_TRUE(g.is_host(3));
+  EXPECT_EQ(h.model, -1);
+  EXPECT_EQ(h.rack, -1);  // unassigned stays unassigned
+  const Node& s1 = g.node(4);
+  EXPECT_EQ(s1.model, 0);
+  EXPECT_EQ(s1.rack, 4);
+
+  // Link ids shift by the parent's one link; WDM rings by the offset.
+  expect_same_link(g.link(1), Link{1, 3, 2, gigabits_per_second(10), nanoseconds(25), -1, -1});
+  expect_same_link(g.link(2), Link{2, 4, 2, gigabits_per_second(40), nanoseconds(250), 2, 5});
+  expect_same_link(g.link(3), Link{3, 2, 4, gigabits_per_second(40), nanoseconds(300), -1, -1});
+  expect_same_link(g.link(4), Link{4, 4, 3, gigabits_per_second(10), nanoseconds(25), -1, -1});
+  expect_same_link(g.link(0), splice_parent().link(0));
+}
+
+TEST(Graph, SpliceMatchesAddLinkReplay) {
+  const Graph child = splice_child();
+  Graph spliced = splice_parent();
+  const std::vector<int> model_map = {0, spliced.add_model(SwitchModel::ccs())};
+  spliced.splice(child, model_map, 2, 1);
+
+  Graph replay = splice_parent();
+  replay.add_model(SwitchModel::ccs());
+  const auto base = static_cast<NodeId>(replay.node_count());
+  for (const Node& n : child.nodes()) {
+    const int rack = n.rack < 0 ? -1 : 2 + n.rack;
+    if (n.kind == NodeKind::kHost) {
+      replay.add_host(n.label, rack);
+    } else {
+      replay.add_switch(model_map[static_cast<std::size_t>(n.model)], n.label, rack);
+    }
+  }
+  for (const Link& l : child.links()) {
+    replay.add_link(base + l.a, base + l.b, l.rate, l.propagation,
+                    l.wdm_ring < 0 ? -1 : 1 + l.wdm_ring, l.wdm_channel);
+  }
+
+  ASSERT_EQ(spliced.node_count(), replay.node_count());
+  ASSERT_EQ(spliced.link_count(), replay.link_count());
+  for (std::size_t i = 0; i < replay.link_count(); ++i) {
+    expect_same_link(spliced.links()[i], replay.links()[i]);
+  }
+  for (const Node& n : replay.nodes()) {
+    SCOPED_TRACE(n.label);
+    const auto got = spliced.neighbors(n.id);
+    const auto want = replay.neighbors(n.id);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].link, want[k].link);
+      EXPECT_EQ(got[k].peer, want[k].peer);
+    }
+  }
+}
+
+TEST(Graph, SpliceRejectsBadModelMaps) {
+  const Graph child = splice_child();
+  Graph g = splice_parent();
+  const std::vector<int> short_map = {0};
+  EXPECT_THROW(g.splice(child, short_map, 0, 0), std::invalid_argument);
+  const std::vector<int> unknown = {0, 7};
+  EXPECT_THROW(g.splice(child, unknown, 0, 0), std::invalid_argument);
+  EXPECT_THROW(g.splice(g, std::vector<int>{0}, 0, 0), std::invalid_argument);
+  EXPECT_EQ(g.node_count(), 2u);  // nothing appended on rejection
+}
+
+TEST(Graph, QuartzMeshFromPlanMatchesPlainOverload) {
+  const auto ring_graph = [](Graph& g) {
+    const int model = g.add_model(SwitchModel::ull());
+    std::vector<NodeId> ring;
+    for (int s = 0; s < 9; ++s) ring.push_back(g.add_switch(model, "q" + std::to_string(s)));
+    return ring;
+  };
+  // Two channels per mux forces the plan across several physical rings.
+  Graph plain;
+  const auto plain_ring = ring_graph(plain);
+  const int plain_rings = add_quartz_mesh(plain, plain_ring, gigabits_per_second(10),
+                                          nanoseconds(250), /*channels_per_mux=*/2,
+                                          /*phys_ring_base=*/3);
+  Graph planned;
+  const auto planned_ring = ring_graph(planned);
+  const int planned_rings =
+      add_quartz_mesh(planned, planned_ring, wavelength::greedy_assign(9),
+                      gigabits_per_second(10), nanoseconds(250), 2, 3);
+
+  EXPECT_GT(plain_rings, 1);
+  EXPECT_EQ(planned_rings, plain_rings);
+  ASSERT_EQ(planned.link_count(), plain.link_count());
+  EXPECT_EQ(plain.link_count(), 9u * 8u / 2u);
+  for (std::size_t i = 0; i < plain.link_count(); ++i) {
+    expect_same_link(planned.links()[i], plain.links()[i]);
+  }
+}
+
+TEST(Graph, QuartzMeshRejectsPlanForAnotherRingSize) {
+  Graph g;
+  const int model = g.add_model(SwitchModel::ull());
+  std::vector<NodeId> ring;
+  for (int s = 0; s < 6; ++s) ring.push_back(g.add_switch(model, "q" + std::to_string(s)));
+  EXPECT_THROW(add_quartz_mesh(g, ring, wavelength::greedy_assign(5), gigabits_per_second(10),
+                               0, 80),
+               std::invalid_argument);
+  EXPECT_EQ(g.link_count(), 0u);
 }
 
 TEST(SwitchModels, Table16Specs) {
