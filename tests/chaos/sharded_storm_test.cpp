@@ -72,6 +72,29 @@ TEST(ShardedStorm, DigestsArePinnedAtEveryShardCount) {
   }
 }
 
+TEST(ShardedStorm, ProbeDetectionDigestsArePinned) {
+  // A storm detected by the probe plane alone, with fast probes, gray
+  // links, flapping, an amplifier failure and Poisson churn: the probe
+  // counters pin the probe plane's schedule, the digests what routing
+  // made of it.
+  for (const int shards : {1, 2}) {
+    ShardedStormParams params = composite_params(5, shards);
+    params.mode = DetectionMode::kHealthMonitor;
+    params.probe_interval = microseconds(3);
+    params.gray_links = 3;
+    params.flapping_links = 2;
+    params.amplifier_failures = 1;
+    params.poisson_churn = true;
+    const ShardedStormResult r = run_storm(params);
+    expect_pinned(r, 0x25a16f99be361b51ull, 0x9cbbc9a2eab375ebull, 3599, 241);
+    EXPECT_EQ(r.probes, 7588u);
+    EXPECT_EQ(r.missed_probes, 134u);
+    EXPECT_EQ(r.deaths, 5u);
+    EXPECT_EQ(r.revivals, 5u);
+    EXPECT_EQ(r.damped_recoveries, 2u);
+  }
+}
+
 TEST(ShardedStorm, FlatRingSegmentsMatchSerial) {
   ShardedStormParams params = flat_params(11, 1);
   const ShardedStormResult serial = run_storm(params);

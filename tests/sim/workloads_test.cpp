@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "routing/oracle.hpp"
+#include "support/digest_sink.hpp"
 #include "topo/builders.hpp"
 
 namespace quartz::sim {
@@ -359,6 +360,109 @@ TEST(Network, TaskDropAccounting) {
   EXPECT_EQ(net.task_drops(quiet), 0u);
   EXPECT_EQ(net.task_drops(noisy), net.packets_dropped());
   EXPECT_THROW(net.task_drops(99), std::invalid_argument);
+}
+
+/// One generator on the fixture's ring with a DigestSink attached;
+/// `finish` runs the network and returns the delivery + drop stream
+/// digest.
+struct DigestRun {
+  Fixture f;
+  Network net{f.topo, *f.oracle};
+  test::DigestSink digest;
+
+  DigestRun() { net.add_sink(&digest); }
+  std::uint64_t finish(TimePs until) {
+    net.run_until(until);
+    EXPECT_GT(digest.deliveries, 0u);
+    return digest.stream_digest;
+  }
+};
+
+TEST(Workloads, GeneratorDigestsArePinned) {
+  // Committed literals: any change to a generator's draws, its event
+  // schedule or the order its timers interleave with packets shows up
+  // here as a diff.
+  {
+    DigestRun run;
+    FlowParams params;
+    params.rate = gigabits_per_second(2);
+    params.stop = milliseconds(5);
+    PoissonFlow flow(run.net, run.f.topo.hosts[0], run.f.topo.hosts[9], run.net.new_task({}),
+                     params, Rng(31));
+    EXPECT_EQ(run.finish(milliseconds(6)), 0x409f79d23eed2cbfull) << "PoissonFlow";
+  }
+  {
+    DigestRun run;
+    TaskPatternParams params;
+    params.per_flow_rate = megabits_per_second(800);
+    params.stop = milliseconds(4);
+    std::vector<topo::NodeId> receivers(run.f.topo.hosts.begin() + 1,
+                                        run.f.topo.hosts.begin() + 9);
+    ScatterTask task(run.net, run.f.topo.hosts[0], receivers, params, Rng(32));
+    EXPECT_EQ(run.finish(milliseconds(5)), 0xff9dd689321bd6f4ull) << "ScatterTask";
+  }
+  {
+    DigestRun run;
+    TaskPatternParams params;
+    params.per_flow_rate = megabits_per_second(2000);
+    params.stop = milliseconds(4);
+    std::vector<topo::NodeId> senders(run.f.topo.hosts.begin() + 4, run.f.topo.hosts.end());
+    GatherTask task(run.net, senders, run.f.topo.hosts[0], params, Rng(33));
+    EXPECT_EQ(run.finish(milliseconds(5)), 0x85912c8194d625a7ull) << "GatherTask";
+  }
+  {
+    DigestRun run;
+    ScatterGatherParams params;
+    params.rounds_per_second = 20'000;
+    params.stop = milliseconds(4);
+    std::vector<topo::NodeId> participants(run.f.topo.hosts.begin() + 2,
+                                           run.f.topo.hosts.begin() + 14);
+    ScatterGatherTask task(run.net, run.f.topo.hosts[1], participants, params, Rng(34));
+    EXPECT_EQ(run.finish(milliseconds(5)), 0xf48ed00611d1e0c5ull) << "ScatterGatherTask";
+  }
+  {
+    // Timeouts, backoff and a shared retry budget, over a lossy access
+    // link so every timer path fires.
+    DigestRun run;
+    RetryBudget budget;
+    RpcParams params;
+    params.calls = 400;
+    params.service_time = microseconds(3);
+    params.timeout = microseconds(40);
+    params.max_retries = 3;
+    params.backoff_base = microseconds(5);
+    params.backoff_cap = microseconds(30);
+    params.retry_budget = &budget;
+    Rng rng(35);
+    RpcWorkload lossy(run.net, run.f.topo.hosts[0], run.f.topo.hosts[9], params, rng.fork());
+    RpcWorkload clean(run.net, run.f.topo.hosts[2], run.f.topo.hosts[13], params, rng.fork());
+    run.net.set_link_loss(host_link(run.f, run.f.topo.hosts[0]), 0.3);
+    const std::uint64_t digest = run.finish(milliseconds(40));
+    EXPECT_GT(lossy.total_retries(), 0u);
+    EXPECT_GT(lossy.abandoned_calls(), 0);
+    EXPECT_GT(run.digest.drops, 0u);
+    EXPECT_EQ(digest, 0xa93236af47f12c64ull) << "RpcWorkload";
+  }
+  {
+    DigestRun run;
+    TransferParams params;
+    params.total_bytes = 300'000;
+    params.start = microseconds(150);
+    FlowTransfer a(run.net, run.f.topo.hosts[0], run.f.topo.hosts[5], params, 41);
+    params.start = microseconds(170);
+    FlowTransfer b(run.net, run.f.topo.hosts[1], run.f.topo.hosts[5], params, 42);
+    EXPECT_EQ(run.finish(milliseconds(2)), 0xc3162136d4a68b1bull) << "FlowTransfer";
+  }
+  {
+    DigestRun run;
+    const int task = run.net.new_task({});
+    BurstParams params;
+    params.target_rate = gigabits_per_second(3);
+    params.stop = milliseconds(4);
+    BurstSource a(run.net, run.f.topo.hosts[0], run.f.topo.hosts[6], task, params, Rng(36));
+    BurstSource b(run.net, run.f.topo.hosts[1], run.f.topo.hosts[6], task, params, Rng(37));
+    EXPECT_EQ(run.finish(milliseconds(5)), 0xb51f3a07de6fc6c8ull) << "BurstSource";
+  }
 }
 
 TEST(Workloads, RejectBadParameters) {
