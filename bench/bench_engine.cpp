@@ -67,14 +67,14 @@ constexpr TimePs kFlowStagger = kArrivalGap / kFlows;
 
 int hops_for(std::uint64_t id) { return 1 + static_cast<int>(id % 3); }
 
-class TypedReplay final : public sim::EventHandler {
+class TypedReplay final : public sim::EventHandler, public sim::TimerHandler {
  public:
   TypedReplay() { queue_.set_handler(this); }
 
   void run(std::uint64_t packets) {
     remaining_ = packets;
     for (int flow = 0; flow < kFlows; ++flow) {
-      queue_.schedule(queue_.now() + kArrivalGap + flow * kFlowStagger, [this] { arrival(); });
+      queue_.schedule_timer(queue_.now() + kArrivalGap + flow * kFlowStagger, {this});
     }
     while (!queue_.empty()) queue_.run_one();
   }
@@ -85,7 +85,8 @@ class TypedReplay final : public sim::EventHandler {
   const sim::EventQueue& engine() const { return queue_; }
 
  private:
-  void arrival() {
+  /// One flow's packet arrival; chains the flow's next.
+  void on_timer(const sim::TimerEvent&) override {
     if (remaining_ == 0) return;  // the other flows drained the budget
     const std::uint64_t id = next_id_++;
     --remaining_;
@@ -94,7 +95,7 @@ class TypedReplay final : public sim::EventHandler {
     event.packet.created = queue_.now();
     event.t0 = queue_.now() + kDecisionDelay;
     queue_.schedule_packet(event.t0, sim::EventType::kHeaderDecision, event);
-    if (remaining_ > 0) queue_.schedule(queue_.now() + kArrivalGap, [this] { arrival(); });
+    if (remaining_ > 0) queue_.schedule_timer(queue_.now() + kArrivalGap, {this});
   }
 
   void on_packet_event(sim::EventType type, sim::PacketEvent& event) override {
@@ -181,10 +182,10 @@ void report() {
                  std::to_string(typed.allocs), ape});
   bench::Report::instance().add_table("engine_microbench", table);
   std::printf("typed steady-state allocations: %llu; pool high-water: "
-              "%zu packet slots, %zu callback slots\n",
+              "%zu packet slots, %zu timer slots\n",
               static_cast<unsigned long long>(typed.allocs),
               typed_replay.engine().packet_pool_capacity(),
-              typed_replay.engine().callback_pool_capacity());
+              typed_replay.engine().timer_pool_capacity());
   bench::Report::instance().add_row(
       "engine_summary",
       {{"typed_events_per_sec", typed.events_per_sec()},

@@ -21,6 +21,7 @@
 #include "routing/health_monitor.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "sim/probes.hpp"
 #include "sim/sweep.hpp"
@@ -264,12 +265,10 @@ DuelOutcome run_duel(bool monitored, std::uint32_t dead_after_misses,
   const topo::Link& link = topo.graph.link(victim);
   const topo::NodeId src = host_of(topo, link.a);
   const topo::NodeId dst = host_of(topo, link.b);
-  const int task = net.new_task([](const sim::Packet&, TimePs) {});
-  for (int i = 0; i < 2'000; ++i) {
-    net.at(microseconds(50) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
-    });
-  }
+  // One flow (stable hash): a 400-byte packet every 50 us, 2000 in all.
+  sim::CbrSource flow(net, {{src, dst, 64e6, bytes(400)}}, net.new_task({}), 0,
+                      microseconds(50) * 1'999, 99);
+  flow.arm();
 
   sim::FaultScheduler faults(net);
   inject(faults, victim);

@@ -28,6 +28,7 @@
 
 #include "common/check.hpp"
 #include "sim/experiments.hpp"
+#include "sim/fault_injection.hpp"
 #include "sim/workloads.hpp"
 #include "telemetry/binary_stream.hpp"
 #include "telemetry/decode.hpp"
@@ -225,10 +226,9 @@ void run_decode_fidelity() {
   }
   const topo::LinkId cut = fabric.topo.graph.neighbors(hosts[17]).front().link;
   const topo::LinkId lossy = fabric.topo.graph.neighbors(hosts[4]).front().link;
-  net.at(microseconds(500), [&] { net.fail_link(cut); });
-  net.at(microseconds(900), [&] { net.repair_link(cut); });
-  net.at(microseconds(700), [&] { net.set_link_loss(lossy, 0.25); });
-  net.at(microseconds(1300), [&] { net.set_link_loss(lossy, 0.0); });
+  sim::FaultScheduler faults(net);
+  faults.schedule_cut(microseconds(500), {cut}, microseconds(900));
+  faults.schedule_transceiver_aging(microseconds(700), lossy, 0.25, microseconds(1300));
   net.run_until(milliseconds(3));
   stream.finish();
   QUARTZ_CHECK(net.packets_dropped(DropReason::kLinkDown) > 0 &&

@@ -19,6 +19,7 @@
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <vector>
 
 #include "common/flags.hpp"
 #include "common/rng.hpp"
@@ -28,6 +29,7 @@
 #include "routing/health_monitor.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "sim/probes.hpp"
 #include "telemetry/metrics.hpp"
@@ -73,6 +75,31 @@ quartz::topo::NodeId first_host(const quartz::topo::BuiltTopology& t, quartz::to
   return quartz::topo::kInvalidNode;
 }
 
+/// Sends `count` 400-byte packets between uniformly random host pairs,
+/// one every `gap` from time zero; each packet draws its pair and flow
+/// id from `rng` as it leaves.
+class RandomPairs final : public quartz::sim::TimerHandler {
+ public:
+  RandomPairs(quartz::sim::Network& net, const std::vector<quartz::topo::NodeId>& hosts, int task,
+              quartz::Rng rng, quartz::TimePs gap, int count)
+      : net_(net), hosts_(hosts), task_(task), rng_(rng) {
+    for (int i = 0; i < count; ++i) net_.schedule_timer(gap * i, {this});
+  }
+
+ private:
+  void on_timer(const quartz::sim::TimerEvent&) override {
+    const auto src = hosts_[rng_.next_below(hosts_.size())];
+    auto dst = hosts_[rng_.next_below(hosts_.size())];
+    while (dst == src) dst = hosts_[rng_.next_below(hosts_.size())];
+    net_.send(src, dst, quartz::bytes(400), task_, rng_.next_u64());
+  }
+
+  quartz::sim::Network& net_;
+  const std::vector<quartz::topo::NodeId>& hosts_;
+  int task_;
+  quartz::Rng rng_;
+};
+
 /// One 2000-packet flow pinned across ring 0 segment 0, routed either
 /// by the probe-based HealthMonitor (monitored) or by the 500 us
 /// fixed-delay failure view; the caller injects the fault.
@@ -110,12 +137,10 @@ DuelResult run_health_duel(
   const topo::Link& link = t.graph.link(victim);
   const topo::NodeId src = first_host(t, link.a);
   const topo::NodeId dst = first_host(t, link.b);
-  const int task = net.new_task({});
-  for (int i = 0; i < 2'000; ++i) {
-    net.at(microseconds(50) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
-    });
-  }
+  // One flow (stable hash): a 400-byte packet every 50 us, 2000 in all.
+  sim::CbrSource flow(net, {{src, dst, 64e6, bytes(400)}}, net.new_task({}), 0,
+                      microseconds(50) * 1'999, 99);
+  flow.arm();
   sim::FaultScheduler faults(net);
   inject(faults, victim);
   net.run_until(milliseconds(200));
@@ -203,15 +228,7 @@ int run(int argc, char** argv) {
         SampleSet samples;
         const int task = net.new_task(
             [&samples](const sim::Packet&, TimePs l) { samples.add(to_microseconds(l)); });
-        Rng rng(7);
-        for (int i = 0; i < 2'000; ++i) {
-          net.at(microseconds(2) * i, [&net, &fabric, &rng, task] {
-            const auto src = fabric.hosts[rng.next_below(fabric.hosts.size())];
-            auto dst = fabric.hosts[rng.next_below(fabric.hosts.size())];
-            while (dst == src) dst = fabric.hosts[rng.next_below(fabric.hosts.size())];
-            net.send(src, dst, bytes(400), task, rng.next_u64());
-          });
-        }
+        RandomPairs traffic(net, fabric.hosts, task, Rng(7), microseconds(2), 2'000);
         net.run_until(milliseconds(20));
         return std::pair{samples.mean(), samples.max()};
       };
@@ -235,16 +252,7 @@ int run(int argc, char** argv) {
     live_oracle.attach_failure_view(&net.failure_view());
     telemetry::FaultTimeline timeline;
     net.add_sink(&timeline);
-    const int task = net.new_task({});
-    Rng rng(11);
-    for (int i = 0; i < 40'000; ++i) {
-      net.at(microseconds(100) * i, [&net, &healthy, &rng, task] {
-        const auto src = healthy.hosts[rng.next_below(healthy.hosts.size())];
-        auto dst = healthy.hosts[rng.next_below(healthy.hosts.size())];
-        while (dst == src) dst = healthy.hosts[rng.next_below(healthy.hosts.size())];
-        net.send(src, dst, bytes(400), task, rng.next_u64());
-      });
-    }
+    RandomPairs traffic(net, healthy.hosts, net.new_task({}), Rng(11), microseconds(100), 40'000);
     sim::FaultScheduler faults(net);
     faults.schedule_fiber_cut(seconds(1), {0, 0}, seconds(3));
     net.run_until(seconds(4));

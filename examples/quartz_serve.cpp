@@ -33,6 +33,7 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "serve/serve_loop.hpp"
+#include "sim/fault_injection.hpp"
 #include "snapshot/io.hpp"
 #include "telemetry/binary_stream.hpp"
 #include "telemetry/decode.hpp"
@@ -166,8 +167,8 @@ int main(int argc, char** argv) {
   }
   if (!checkpoint_dir.empty() && checkpoint_every_ms < 1) return usage(argv[0]);
   if (!checkpoint_dir.empty() && flags.get_bool("blackhole")) {
-    // The blackhole is scheduled as an engine closure, which a snapshot
-    // cannot carry — script chaos through FaultScheduler instead.
+    // The blackhole is a FaultScheduler timeline, and FaultScheduler is
+    // not part of ServeLoop's snapshot: a resumed run would lose it.
     std::fprintf(stderr, "--blackhole cannot be combined with --checkpoint-dir\n");
     return usage(argv[0]);
   }
@@ -230,13 +231,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  sim::FaultScheduler faults(loop.network());
   if (flags.get_bool("blackhole")) {
     // Gray-fail the first mesh lightpath: the failure view never
     // learns, so only timeouts (and the retry budget) notice.
     for (const auto& link : loop.topology().graph.links()) {
       if (link.wdm_channel < 0) continue;
       const TimePs at = config.duration / 4;
-      loop.network().at(at, [&loop, id = link.id] { loop.network().set_link_loss(id, 1.0); });
+      faults.schedule_transceiver_aging(at, link.id, 1.0);
       std::printf("  gray failure: mesh link %u blackholed from %.1f ms\n", link.id,
                   to_microseconds(at) / 1000.0);
       break;

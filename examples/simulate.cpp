@@ -71,9 +71,10 @@ int usage(const char* argv0) {
       "  --shards=N    intra-run sharding: partition ONE simulation across\n"
       "                N cores (conservative time windows; see\n"
       "                docs/performance.md).  Needs --topology=composite:SPEC\n"
-      "                and runs the shard-invariant uniform workload — task\n"
-      "                patterns are sequential state machines and stay on the\n"
-      "                serial engine.  Results are byte-identical at every N\n",
+      "                and runs the shard-invariant uniform storm workload\n"
+      "                until workloads shard, so it refuses --pattern,\n"
+      "                --tasks, --fanout, --localized, --vlb and --fib.\n"
+      "                Results are byte-identical at every N\n",
       argv0);
   return 1;
 }
@@ -195,6 +196,14 @@ int run(int argc, char** argv) {
                   "shards one composed element per core; named fabrics stay serial)\n",
                   shards);
       return usage(argv[0]);
+    }
+    for (const char* flag : {"pattern", "tasks", "fanout", "localized", "vlb", "fib"}) {
+      if (flags.has(flag)) {
+        std::printf("--%s does not apply to --shards: the sharded engine runs the uniform\n"
+                    "storm workload until workloads shard\n",
+                    flag);
+        return usage(argv[0]);
+      }
     }
     if (replicas > 1 || flags.has("metrics-out") || flags.get_bool("trace") ||
         flags.get("telemetry", "off") != "off") {

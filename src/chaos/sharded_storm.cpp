@@ -402,7 +402,7 @@ class ShardedStormRun::StormShard final : public sim::Shard,
   /// the params).
   sim::HandlerMap handler_map() const {
     sim::HandlerMap handlers;
-    if (probes_ != nullptr) handlers.probes.push_back(probes_.get());
+    if (probes_ != nullptr) handlers.timers.push_back(probes_.get());
     handlers.timers.push_back(const_cast<sim::FaultScheduler*>(&faults_));
     handlers.timers.push_back(const_cast<StormShard*>(this));
     if (fluid_ != nullptr) handlers.timers.push_back(fluid_.get());

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "sim/fault_injection.hpp"
 #include "sim/sweep.hpp"
 
 namespace quartz::chaos {
@@ -21,6 +22,19 @@ std::vector<topo::LinkId> wdm_links(const topo::BuiltTopology& topo) {
   }
   return out;
 }
+
+/// Reads the SLO breach counter when its timer fires.
+class BreachMark final : public sim::TimerHandler {
+ public:
+  explicit BreachMark(const serve::ServeLoop& loop) : loop_(loop) {}
+  std::uint64_t breaches() const { return breaches_; }
+
+ private:
+  void on_timer(const sim::TimerEvent&) override { breaches_ = loop_.slo().windows_breached(); }
+
+  const serve::ServeLoop& loop_;
+  std::uint64_t breaches_ = 0;
+};
 
 }  // namespace
 
@@ -78,35 +92,29 @@ SloStormReport run_slo_storm(const SloStormParams& params) {
 
   // Storm script: hard cuts (visible to the failure view) and gray
   // blackholes (invisible — only timeouts notice), all healed strictly
-  // before storm_end.
+  // before storm_end.  Overlapping cuts on one victim hold it down
+  // until the last of them is repaired.
+  sim::FaultScheduler faults(net);
   Rng storm_rng(params.seed ^ 0x534C4F53ull);  // "SLOS"
   for (int c = 0; c < params.cuts; ++c) {
     const topo::LinkId victim = mesh[storm_rng.next_below(mesh.size())];
     const TimePs fail_at = uniform_time(storm_rng, params.storm_start, params.storm_end - 1);
     const TimePs repair_at = uniform_time(storm_rng, fail_at + 1, params.storm_end);
-    net.at(fail_at, [&net, victim] {
-      if (net.link_up(victim)) net.fail_link(victim);
-    });
-    net.at(repair_at, [&net, victim] {
-      if (!net.link_up(victim)) net.repair_link(victim);
-    });
+    faults.schedule_cut(fail_at, {victim}, repair_at);
   }
   // Gray blackholes span the whole storm window (the victim is still
   // seed-random): the failure view never learns, so only timeouts — and
   // the retry budget behind them — absorb the loss.
   for (int g = 0; g < params.gray_links; ++g) {
     const topo::LinkId victim = mesh[storm_rng.next_below(mesh.size())];
-    net.at(params.storm_start, [&net, victim] { net.set_link_loss(victim, 1.0); });
-    net.at(params.storm_end, [&net, victim] { net.set_link_loss(victim, 0.0); });
+    faults.schedule_transceiver_aging(params.storm_start, victim, 1.0, params.storm_end);
   }
 
   // Snapshot the breach counter once the storm is healed and the
   // recovery slack has passed: every breach after this violates the
   // SLO-recovery invariant.
-  const TimePs recovery_at = params.storm_end + params.recovery_slack;
-  std::uint64_t breaches_at_recovery = 0;
-  net.at(recovery_at,
-         [&loop, &breaches_at_recovery] { breaches_at_recovery = loop.slo().windows_breached(); });
+  BreachMark recovery(loop);
+  net.schedule_timer(params.storm_end + params.recovery_slack, {&recovery});
 
   SloStormReport report;
   report.seed = params.seed;
@@ -114,7 +122,7 @@ SloStormReport run_slo_storm(const SloStormParams& params) {
   report.packets_sent = net.packets_sent();
   report.packets_delivered = net.packets_delivered();
   report.packets_dropped = net.packets_dropped();
-  report.breaches_after_recovery = loop.slo().windows_breached() - breaches_at_recovery;
+  report.breaches_after_recovery = loop.slo().windows_breached() - recovery.breaches();
 
   // Invariant 1: request- and packet-level conservation.
   report.invariants.conservation =

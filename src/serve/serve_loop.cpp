@@ -108,8 +108,7 @@ ServeLoop::ServeLoop(ServeConfig config)
   network_->set_fib(fib_.get());
 
   // Request delivery at the server: reply after the service time (a
-  // kReplyTag timer packing server and client ids — checkpointable,
-  // unlike a closure).  The server answers every (re)transmission it
+  // kReplyTag timer packing server and client ids).  The server answers every (re)transmission it
   // sees — duplicate replies for a retried call are ignored at the
   // client by the outstanding table.
   request_task_ = network_->new_task([this](const sim::Packet& p, TimePs) {

@@ -267,8 +267,8 @@ class ServeLoop : public sim::TimerHandler {
     std::size_t live_ = 0;
   };
 
-  /// Everything the loop schedules is a typed timer (checkpointable),
-  /// never a closure.  `a`/`b` carry the operands noted per tag.
+  /// Everything the loop schedules is a timer; `a`/`b` carry the
+  /// operands noted per tag.
   enum TimerTag : std::uint32_t {
     kArrivalTag = 1,     ///< next Poisson arrival (self-chained)
     kReplayTag = 2,      ///< replay arrival; a = trace index

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "snapshot/io.hpp"
 
@@ -42,9 +43,6 @@ Packet restore_packet(snapshot::Reader& r) {
 }  // namespace
 
 void EventQueue::save(snapshot::Writer& w, const HandlerMap& handlers) const {
-  QUARTZ_REQUIRE(!has_pending_callbacks(),
-                 "pending std::function callback events cannot be checkpointed; "
-                 "schedule through timers (kTimer) instead");
   // Collect every pending entry from all three tiers.  Sorting by seq
   // makes the snapshot bytes independent of tier placement (and the
   // restore path's re-push order deterministic).
@@ -87,15 +85,6 @@ void EventQueue::save(snapshot::Writer& w, const HandlerMap& handlers) const {
         w.put_bool(ev.dead);
         break;
       }
-      case EventType::kProbe: {
-        const ProbeEvent& ev = probes_[e.slot];
-        w.put_u32(handlers.probe_id(ev.handler));
-        w.put_i32(ev.link);
-        w.put_u8(static_cast<std::uint8_t>(ev.kind));
-        w.put_bool(ev.launched);
-        w.put_bool(ev.corrupted);
-        break;
-      }
       case EventType::kTimer: {
         const TimerEvent& ev = timers_[e.slot];
         w.put_u32(handlers.timer_id(ev.handler));
@@ -104,8 +93,6 @@ void EventQueue::save(snapshot::Writer& w, const HandlerMap& handlers) const {
         w.put_u64(ev.b);
         break;
       }
-      case EventType::kCallback:
-        QUARTZ_CHECK(false, "unreachable: callbacks rejected above");
     }
   }
 }
@@ -125,7 +112,10 @@ void EventQueue::restore(snapshot::Reader& r, const HandlerMap& handlers) {
     const TimePs time = r.get_i64();
     const std::uint64_t stamp = r.get_u64();
     const std::uint64_t seq = r.get_u64();
-    const auto type = static_cast<EventType>(r.get_u8());
+    const std::uint8_t type_byte = r.get_u8();
+    QUARTZ_REQUIRE(type_byte <= static_cast<std::uint8_t>(EventType::kTimer),
+                   "snapshot holds unknown event type " + std::to_string(type_byte));
+    const auto type = static_cast<EventType>(type_byte);
     switch (type) {
       case EventType::kHeaderDecision:
       case EventType::kTransmitComplete:
@@ -152,18 +142,6 @@ void EventQueue::restore(snapshot::Reader& r, const HandlerMap& handlers) {
         push_entry_at(time, stamp, seq, type, slot);
         break;
       }
-      case EventType::kProbe: {
-        ProbeEvent ev;
-        ev.handler = handlers.probe(r.get_u32());
-        ev.link = r.get_i32();
-        ev.kind = static_cast<ProbeEvent::Kind>(r.get_u8());
-        ev.launched = r.get_bool();
-        ev.corrupted = r.get_bool();
-        const std::uint32_t slot = probes_.acquire();
-        probes_[slot] = ev;
-        push_entry_at(time, stamp, seq, type, slot);
-        break;
-      }
       case EventType::kTimer: {
         TimerEvent ev;
         ev.handler = handlers.timer(r.get_u32());
@@ -175,8 +153,6 @@ void EventQueue::restore(snapshot::Reader& r, const HandlerMap& handlers) {
         push_entry_at(time, stamp, seq, type, slot);
         break;
       }
-      case EventType::kCallback:
-        QUARTZ_REQUIRE(false, "snapshot contains a callback event");
     }
   }
   next_seq_ = next_seq;

@@ -9,19 +9,20 @@
 // same-time ties resolve identically no matter which shard scheduled
 // the event first — the property that makes one simulation digest
 // byte-identical at every shard count.  Stamp zero sorts before every
-// packet stamp, so control-plane events (faults, probes, timers) keep
-// running ahead of data packets at equal times.
+// packet stamp, so control-plane events (fault transitions, timers)
+// keep running ahead of data packets at equal times.
 //
-// The hot path carries a small closed set of typed POD events
-// (header-decision, transmit-complete, delivery, fault-transition,
-// probe) in per-type slot pools with free-list recycling: once the
+// The engine carries a closed set of five typed POD events: the three
+// packet events (header-decision, transmit-complete, delivery),
+// Network's fault-transition, and the control-plane timer that every
+// workload generator, probe plane and fault script schedules through.
+// Each type lives in a slot pool with free-list recycling: once the
 // pools have grown to the high-water mark of in-flight events, a
 // steady-state simulation schedules and runs events with zero heap
-// allocations.  A generic std::function fallback (kCallback) remains
-// for workload generators and tests; its slots are pooled too, and
-// small captures ride the function's inline buffer.
+// allocations.  Every event is plain data, so any pending set can be
+// snapshotted.
 //
-// The pending set is a two-tier calendar: a small exact (time, seq)
+// The pending set is a two-tier calendar: a small exact (time, stamp, seq)
 // min-heap for the active ~4 ns window, unsorted FIFO buckets for the
 // ~2 us wheel ahead of it, and an overflow heap beyond the horizon.
 // Dense packet workloads pay O(1) bucket appends plus sifts through a
@@ -36,7 +37,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -51,17 +51,15 @@ class Reader;
 
 namespace quartz::sim {
 
-/// The closed set of event types the engine understands.  Everything
-/// the packet hot path needs is typed; kCallback is the escape hatch
-/// for control-plane logic (workload arrivals, fault scripts, tests).
+/// The closed set of event types the engine understands: the packet
+/// hot path, Network's delayed fault detection, and one control-plane
+/// timer for everything else.
 enum class EventType : std::uint8_t {
   kHeaderDecision,    ///< forwarding decision ready; put packet on its next line
   kTransmitComplete,  ///< packet head reached the far end of a link
   kDelivery,          ///< last bit + host receive overhead at the destination
   kFaultTransition,   ///< delayed routing-plane detection of a link state flip
-  kProbe,             ///< probe-plane fire / probe-result
-  kTimer,             ///< typed control-plane timer (checkpointable)
-  kCallback,          ///< generic std::function fallback (NOT checkpointable)
+  kTimer,             ///< control-plane timer (generators, probes, fault scripts)
 };
 
 /// Payload of the packet-carrying event types.  The two times mean,
@@ -86,30 +84,15 @@ struct FaultEvent {
   bool dead = false;
 };
 
-class ProbeHandler;
-
-/// Payload of kProbe.  kFire launches the next probe on `link`;
-/// kResult lands a probe whose fate (launched/corrupted) was sealed at
-/// launch time.  The event carries its handler so several probe planes
-/// can share one engine.
-struct ProbeEvent {
-  enum class Kind : std::uint8_t { kFire, kResult };
-  ProbeHandler* handler = nullptr;
-  topo::LinkId link = -1;
-  Kind kind = Kind::kFire;
-  bool launched = false;
-  bool corrupted = false;
-};
-
 class TimerHandler;
 
-/// Payload of kTimer: the checkpointable control-plane event.  Unlike
-/// kCallback (whose std::function closure cannot be serialized), a
-/// timer is pure data — a handler, a dispatch tag and two integer
-/// operands — so pending timers survive snapshot/restore.  Every
-/// component that wants its scheduling to be checkpointable (fault
-/// scripts, workload arrival chains, serve-loop timeouts) encodes its
-/// state machine in (tag, a, b) and implements TimerHandler.
+/// Payload of kTimer: the one control-plane event.  A timer is pure
+/// data — a handler, a dispatch tag and two integer operands — so
+/// pending timers survive snapshot/restore.  Every component that
+/// schedules work (workload generators, probe planes, fault scripts,
+/// serve-loop timeouts) encodes its state machine in (tag, a, b) and
+/// implements TimerHandler.  The event carries its handler so several
+/// components share one engine.
 struct TimerEvent {
   TimerHandler* handler = nullptr;
   std::uint32_t tag = 0;  ///< handler-private dispatch discriminator
@@ -126,13 +109,6 @@ class EventHandler {
   virtual void on_fault_event(const FaultEvent& event) = 0;
 };
 
-/// Receiver of typed probe events — implemented by ProbePlane.
-class ProbeHandler {
- public:
-  virtual ~ProbeHandler() = default;
-  virtual void on_probe_event(const ProbeEvent& event) = 0;
-};
-
 /// Receiver of typed timer events.
 class TimerHandler {
  public:
@@ -146,22 +122,12 @@ class TimerHandler {
 /// different addresses) before restore; pending events serialize the
 /// index, never the pointer.
 struct HandlerMap {
-  std::vector<ProbeHandler*> probes;
   std::vector<TimerHandler*> timers;
 
-  std::uint32_t probe_id(const ProbeHandler* handler) const {
-    const auto it = std::find(probes.begin(), probes.end(), handler);
-    QUARTZ_REQUIRE(it != probes.end(), "probe handler not registered in HandlerMap");
-    return static_cast<std::uint32_t>(it - probes.begin());
-  }
   std::uint32_t timer_id(const TimerHandler* handler) const {
     const auto it = std::find(timers.begin(), timers.end(), handler);
     QUARTZ_REQUIRE(it != timers.end(), "timer handler not registered in HandlerMap");
     return static_cast<std::uint32_t>(it - timers.begin());
-  }
-  ProbeHandler* probe(std::uint32_t id) const {
-    QUARTZ_REQUIRE(id < probes.size(), "probe handler index out of range");
-    return probes[id];
   }
   TimerHandler* timer(std::uint32_t id) const {
     QUARTZ_REQUIRE(id < timers.size(), "timer handler index out of range");
@@ -190,7 +156,6 @@ class SlotPool {
   const T& operator[](std::uint32_t slot) const { return slots_[slot]; }
   /// Slots ever created (the high-water mark of in-flight events).
   std::size_t capacity() const { return slots_.size(); }
-  std::size_t in_use() const { return slots_.size() - free_.size(); }
   /// Drop every slot (restore repopulates a fresh pool).
   void clear() {
     slots_.clear();
@@ -204,23 +169,12 @@ class SlotPool {
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
   EventQueue() = default;
   explicit EventQueue(EventHandler* handler) : handler_(handler) {}
 
   /// Attach the receiver of typed packet/fault events.  Must be set
   /// before the first typed event is scheduled.
   void set_handler(EventHandler* handler) { handler_ = handler; }
-
-  /// Generic fallback: schedule an arbitrary callback.  The function
-  /// object lives in a recycled slot; captures within the std::function
-  /// inline buffer (two pointers on mainstream ABIs) never allocate.
-  void schedule(TimePs when, Action action) {
-    const std::uint32_t slot = callbacks_.acquire();
-    callbacks_[slot] = std::move(action);
-    push_entry(when, EventType::kCallback, slot);
-  }
 
   /// `stamp` is the (time, stamp, seq) tie-breaker; 0 (the default)
   /// preserves pure scheduling order, non-zero values give same-time
@@ -240,13 +194,6 @@ class EventQueue {
     const std::uint32_t slot = faults_.acquire();
     faults_[slot] = event;
     push_entry(when, EventType::kFaultTransition, slot);
-  }
-
-  void schedule_probe(TimePs when, const ProbeEvent& event) {
-    QUARTZ_REQUIRE(event.handler != nullptr, "probe event without a handler");
-    const std::uint32_t slot = probes_.acquire();
-    probes_[slot] = event;
-    push_entry(when, EventType::kProbe, slot);
   }
 
   void schedule_timer(TimePs when, const TimerEvent& event) {
@@ -335,29 +282,21 @@ class EventQueue {
   /// Total events dispatched so far (all types).
   std::uint64_t events_run() const { return events_run_; }
 
-  /// True while any pending event is a kCallback closure.  Closures
-  /// cannot be serialized; save() refuses while one is pending, and
-  /// checkpointable harnesses schedule through timers instead.
-  bool has_pending_callbacks() const { return callbacks_.in_use() != 0; }
-
   /// Serialize now(), the sequence counters and every pending event
-  /// (with its exact (time, seq) ordering key) in seq order.  Handler
-  /// pointers are written as HandlerMap indices.  Refuses pending
-  /// kCallback events.
+  /// (with its exact (time, stamp, seq) ordering key) in seq order.
+  /// Handler pointers are written as HandlerMap indices.
   void save(snapshot::Writer& w, const HandlerMap& handlers) const;
 
   /// Rebuild the pending set into this freshly constructed engine.
-  /// Every entry is re-pushed with its saved (time, seq) key, so the
-  /// dispatch order — and therefore the simulation — continues
-  /// bit-exactly.
+  /// Every entry is re-pushed with its saved (time, stamp, seq) key, so
+  /// the dispatch order — and therefore the simulation — continues
+  /// bit-exactly.  Rejects an unknown event-type byte.
   void restore(snapshot::Reader& r, const HandlerMap& handlers);
 
   // Pool high-water marks, for the zero-allocation regression tests and
   // bench_engine: once these plateau, scheduling stops allocating.
   std::size_t packet_pool_capacity() const { return packets_.capacity(); }
-  std::size_t callback_pool_capacity() const { return callbacks_.capacity(); }
   std::size_t fault_pool_capacity() const { return faults_.capacity(); }
-  std::size_t probe_pool_capacity() const { return probes_.capacity(); }
   std::size_t timer_pool_capacity() const { return timers_.capacity(); }
 
  private:
@@ -469,7 +408,7 @@ class EventQueue {
 
   // Hole-style binary-heap sifts: carry the displaced entry in a
   // register and shift parents/children into the hole, writing the
-  // entry back exactly once — one 24-byte store per level instead of a
+  // entry back exactly once — one 32-byte store per level instead of a
   // three-move swap.  Pop replaces the root with the last leaf and
   // sifts down — no in-place mutation of an ordered container's key
   // (the old priority_queue implementation const_cast-moved from
@@ -528,24 +467,10 @@ class EventQueue {
         handler_->on_fault_event(event);
         return;
       }
-      case EventType::kProbe: {
-        const ProbeEvent event = probes_[entry.slot];
-        probes_.release(entry.slot);
-        event.handler->on_probe_event(event);
-        return;
-      }
       case EventType::kTimer: {
         const TimerEvent event = timers_[entry.slot];
         timers_.release(entry.slot);
         event.handler->on_timer(event);
-        return;
-      }
-      case EventType::kCallback: {
-        // Move the action out first: the slot may be reacquired by a
-        // schedule() the action itself performs.
-        Action action = std::move(callbacks_[entry.slot]);
-        callbacks_.release(entry.slot);
-        action();
         return;
       }
     }
@@ -561,9 +486,7 @@ class EventQueue {
   std::size_t size_ = 0;                       ///< entries across all tiers
   SlotPool<PacketEvent> packets_;
   SlotPool<FaultEvent> faults_;
-  SlotPool<ProbeEvent> probes_;
   SlotPool<TimerEvent> timers_;
-  SlotPool<Action> callbacks_;
   EventHandler* handler_ = nullptr;
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;

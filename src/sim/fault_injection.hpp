@@ -109,10 +109,9 @@ class FaultScheduler : public TimerHandler {
   void restore(snapshot::Reader& r);
 
  private:
-  /// Timelines are scheduled as typed timer events (checkpointable),
-  /// never as closures.  A scripted fail/repair/degrade/restore stores
-  /// its operand bundle in actions_ and passes the index through the
-  /// timer's `a`; the Poisson chain passes the link id directly.
+  /// Timelines are timer events.  A scripted fail/repair/degrade/
+  /// restore stores its operand bundle in actions_ and passes the index
+  /// through the timer's `a`; the Poisson chain passes the link id.
   enum TimerTag : std::uint32_t {
     kScriptTag = 1,
     kPoissonFailTag = 2,

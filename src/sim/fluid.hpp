@@ -17,11 +17,11 @@
 // of every foreground packet crossing the line (Network::set_queue_bias).
 // Background packets never exist; their queueing pressure does.
 //
-// Determinism contract: the epoch clock is a typed TimerEvent (no
-// closures), the solve depends only on (demands, routes, capacities),
-// and digest() folds every epoch's biases — so the digest is stable
-// across runs and across `--jobs`, and pending epochs survive
-// snapshot/restore like any other timer.
+// Determinism contract: the epoch clock is a TimerEvent, the solve
+// depends only on (demands, routes, capacities), and digest() folds
+// every epoch's biases — so the digest is stable across runs and across
+// `--jobs`, and pending epochs survive snapshot/restore like any other
+// timer.
 #pragma once
 
 #include <cstdint>

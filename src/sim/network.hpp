@@ -110,10 +110,6 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
           SimConfig config = {});
 
   TimePs now() const { return events_.now(); }
-  void at(TimePs when, EventQueue::Action action) { events_.schedule(when, std::move(action)); }
-  void after(TimePs delay, EventQueue::Action action) {
-    events_.schedule(now() + delay, std::move(action));
-  }
 
   /// Register a traffic class; the handler (may be empty) fires on each
   /// delivery of a packet sent with the returned task id.
@@ -183,14 +179,8 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   /// Cross-shard transits this shard has posted (diagnostic).
   std::uint64_t mail_posted() const { return mail_posted_; }
 
-  /// Schedule a typed probe event (the ProbePlane's zero-allocation
-  /// path; the event carries its own handler).
-  void schedule_probe(TimePs when, const ProbeEvent& event) {
-    events_.schedule_probe(when, event);
-  }
-
-  /// Schedule a typed timer event — the checkpointable alternative to
-  /// at()/after() closures (see TimerEvent).
+  /// Schedule a control-plane timer: the one way work other than
+  /// packets enters the engine (see TimerEvent).
   void schedule_timer(TimePs when, const TimerEvent& event) {
     events_.schedule_timer(when, event);
   }
@@ -217,8 +207,8 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
 
   // --- live fault injection (§3.5 made dynamic) ------------------------------
   //
-  // fail_link/repair_link flip the *physical* state immediately (call
-  // them via at()/after() to script a timeline, or use FaultScheduler).
+  // fail_link/repair_link flip the *physical* state immediately (script
+  // a timeline with FaultScheduler).
   // Packets in flight on a failing link are dropped; transmit attempts
   // onto a dead link are dropped and counted as kLinkDown.  The routing
   // plane's FailureView is updated `failure_detection_delay` later.

@@ -35,24 +35,23 @@ void ProbePlane::start(std::vector<topo::LinkId> links) {
         link >= 0 && static_cast<std::size_t>(link) < network_.graph().link_count(),
         "unknown link");
     const TimePs offset = options_.interval * static_cast<TimePs>(i) / n;
-    ProbeEvent first;
-    first.handler = this;
-    first.link = link;
-    first.kind = ProbeEvent::Kind::kFire;
-    network_.schedule_probe(options_.start + offset, first);
+    network_.schedule_timer(options_.start + offset,
+                            {this, kFireTag, static_cast<std::uint64_t>(link), 0});
   }
 }
 
-void ProbePlane::on_probe_event(const ProbeEvent& event) {
-  if (event.kind == ProbeEvent::Kind::kFire) {
-    fire(event.link);
+void ProbePlane::on_timer(const TimerEvent& event) {
+  const auto link = static_cast<topo::LinkId>(event.a);
+  if (event.tag == kFireTag) {
+    fire(link);
     return;
   }
-  // kResult: the probe lands; it must also find the link up on arrival.
-  const bool delivered = event.launched && !event.corrupted && network_.link_up(event.link);
+  QUARTZ_CHECK(event.tag == kResultTag, "unknown probe timer tag");
+  // The probe lands; it must also find the link up on arrival.
+  const bool delivered = event.b == kLaunched && network_.link_up(link);
   const TimePs now = network_.now();
-  monitor_.record_probe(event.link, delivered, now);
-  network_.emit_probe(event.link, delivered, now);
+  monitor_.record_probe(link, delivered, now);
+  network_.emit_probe(link, delivered, now);
 }
 
 void ProbePlane::fire(topo::LinkId link) {
@@ -62,20 +61,14 @@ void ProbePlane::fire(topo::LinkId link) {
   // The probe's fate is sealed bit by bit: it must find the link up at
   // launch, survive the gray-failure coin flip, and the link must still
   // be up when it lands one propagation later.
-  ProbeEvent result;
-  result.handler = this;
-  result.link = link;
-  result.kind = ProbeEvent::Kind::kResult;
-  result.launched = network_.link_up(link);
-  result.corrupted =
-      result.launched && network_.link_loss_rate(link) > 0.0 &&
-      rng_.next_double() < network_.link_loss_rate(link);
-  network_.schedule_probe(sent_at + network_.graph().link(link).propagation, result);
-  ProbeEvent next;
-  next.handler = this;
-  next.link = link;
-  next.kind = ProbeEvent::Kind::kFire;
-  network_.schedule_probe(sent_at + options_.interval, next);
+  const bool launched = network_.link_up(link);
+  const bool corrupted = launched && network_.link_loss_rate(link) > 0.0 &&
+                         rng_.next_double() < network_.link_loss_rate(link);
+  const auto a = static_cast<std::uint64_t>(link);
+  network_.schedule_timer(sent_at + network_.graph().link(link).propagation,
+                          {this, kResultTag, a, (launched ? kLaunched : 0) |
+                                                    (corrupted ? kCorrupted : 0)});
+  network_.schedule_timer(sent_at + options_.interval, {this, kFireTag, a, 0});
 }
 
 void ProbePlane::save(snapshot::Writer& w) const {

@@ -12,8 +12,8 @@
 //
 // Per-link schedules are staggered across one interval so a fabric-wide
 // probe sweep does not synchronize into bursts.  Like the workload
-// generators, a ProbePlane is pinned in memory once started (events
-// capture `this`).
+// generators, a ProbePlane is pinned in memory once started (its timers
+// point at it).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +25,10 @@
 
 namespace quartz::sim {
 
-/// Probes ride the engine's typed kProbe events (fire / result), so a
-/// saturated probe sweep costs zero allocations per probe once the
-/// engine's pools are warm.
-class ProbePlane : public ProbeHandler {
+/// Probes ride engine timers (fire / result), so a saturated probe
+/// sweep costs zero allocations per probe once the engine's pools are
+/// warm.
+class ProbePlane : public TimerHandler {
  public:
   struct Options {
     /// Probe cadence per link.
@@ -60,15 +60,20 @@ class ProbePlane : public ProbeHandler {
   const Options& options() const { return options_; }
 
   /// Serialize the probe plane's mutable state (corruption stream +
-  /// counter); pending kFire/kResult events live in the engine snapshot.
+  /// counter); pending fire/result timers live in the engine snapshot.
   void save(snapshot::Writer& w) const;
   /// Restore into a fresh plane (constructed with the same options, NOT
   /// started — the restored engine already holds the probe schedule).
   void restore(snapshot::Reader& r);
 
  private:
-  /// ProbeHandler: the engine hands kFire/kResult events back here.
-  void on_probe_event(const ProbeEvent& event) override;
+  /// Timer tags; `a` is the link.  A result's `b` holds the fate
+  /// sealed at launch: bit 0 = launched, bit 1 = corrupted.
+  enum TimerTag : std::uint32_t { kFireTag = 0, kResultTag = 1 };
+  static constexpr std::uint64_t kLaunched = 1;
+  static constexpr std::uint64_t kCorrupted = 2;
+
+  void on_timer(const TimerEvent& event) override;
 
   void fire(topo::LinkId link);
 

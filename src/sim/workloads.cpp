@@ -31,18 +31,14 @@ PoissonFlow::PoissonFlow(Network& network, topo::NodeId src, topo::NodeId dst, i
   QUARTZ_REQUIRE(params_.stop > params_.start, "flow must have a positive duration");
   // First arrival one exponential gap after start (stationary process).
   const TimePs first = params_.start + exponential_gap(rng_, mean_gap_);
-  if (first < params_.stop) {
-    network_.at(first, [this] { schedule_next(); });
-  }
+  if (first < params_.stop) network_.schedule_timer(first, {this});
 }
 
-void PoissonFlow::schedule_next() {
+void PoissonFlow::on_timer(const TimerEvent&) {
   network_.send(src_, dst_, params_.packet_size, task_, flow_id_);
   ++sent_;
   const TimePs next = network_.now() + exponential_gap(rng_, mean_gap_);
-  if (next < params_.stop) {
-    network_.at(next, [this] { schedule_next(); });
-  }
+  if (next < params_.stop) network_.schedule_timer(next, {this});
 }
 
 ScatterTask::ScatterTask(Network& network, topo::NodeId sender,
@@ -105,20 +101,16 @@ ScatterGatherTask::ScatterGatherTask(Network& network, topo::NodeId initiator,
 
   mean_gap_ = static_cast<TimePs>(1e12 / params_.rounds_per_second);
   const TimePs first = params_.start + exponential_gap(rng_, mean_gap_);
-  if (first < params_.stop) {
-    network_.at(first, [this] { schedule_round(); });
-  }
+  if (first < params_.stop) network_.schedule_timer(first, {this});
 }
 
-void ScatterGatherTask::schedule_round() {
+void ScatterGatherTask::on_timer(const TimerEvent&) {
   for (topo::NodeId p : participants_) {
     network_.send(initiator_, p, params_.packet_size, request_task_,
                   request_flow_base_ ^ static_cast<std::uint64_t>(p));
   }
   const TimePs next = network_.now() + exponential_gap(rng_, mean_gap_);
-  if (next < params_.stop) {
-    network_.at(next, [this] { schedule_round(); });
-  }
+  if (next < params_.stop) network_.schedule_timer(next, {this});
 }
 
 RpcWorkload::RpcWorkload(Network& network, topo::NodeId client, topo::NodeId server,
@@ -153,16 +145,33 @@ RpcWorkload::RpcWorkload(Network& network, topo::NodeId client, topo::NodeId ser
   request_task_ = network_.new_task([this](const Packet& packet, TimePs) {
     // The server echoes the call sequence number so the client can
     // match replies to attempts.
-    const std::uint64_t tag = packet.tag;
     if (params_.service_time > 0) {
-      network_.after(params_.service_time, [this, tag] {
-        network_.send(server_, client_, params_.reply_size, reply_task_, flow_id_ ^ 0x52ull, tag);
-      });
+      network_.schedule_timer(network_.now() + params_.service_time,
+                              {this, kReplyTag, packet.tag, 0});
     } else {
-      network_.send(server_, client_, params_.reply_size, reply_task_, flow_id_ ^ 0x52ull, tag);
+      send_reply(packet.tag);
     }
   });
-  network_.at(network_.now(), [this] { issue(); });
+  network_.schedule_timer(network_.now(), {this, kIssueTag, 0, 0});
+}
+
+void RpcWorkload::on_timer(const TimerEvent& event) {
+  switch (event.tag) {
+    case kIssueTag:
+      return issue();
+    case kReplyTag:
+      return send_reply(event.a);
+    case kTimeoutTag:
+      return on_timeout(event.a, event.b);
+    case kBackoffTag:
+      if (awaiting_ && call_seq_ == event.a) send_attempt();
+      return;
+  }
+  QUARTZ_CHECK(false, "unknown RPC timer tag");
+}
+
+void RpcWorkload::send_reply(std::uint64_t seq) {
+  network_.send(server_, client_, params_.reply_size, reply_task_, flow_id_ ^ 0x52ull, seq);
 }
 
 void RpcWorkload::issue() {
@@ -177,30 +186,29 @@ void RpcWorkload::issue() {
 void RpcWorkload::send_attempt() {
   network_.send(client_, server_, params_.request_size, request_task_, flow_id_, call_seq_);
   if (params_.timeout <= 0) return;  // lossless-fabric mode: no timer
-  const std::uint64_t seq = call_seq_;
-  const int attempt = attempt_;
-  network_.after(params_.timeout, [this, seq, attempt] {
-    // Stale timer: the call completed, was abandoned, or a retransmit
-    // already superseded this attempt.
-    if (!awaiting_ || call_seq_ != seq || attempt_ != attempt) return;
-    // The attempt that timed out is resolved (unanswered): its budget
-    // slot is free before we decide whether to retransmit again.
-    release_retry_slot();
-    if (attempt_ >= params_.max_retries) return abandon_call();
-    if (params_.retry_budget != nullptr) {
-      if (!params_.retry_budget->try_acquire()) {
-        // The budget would rather fail this call than feed the storm.
-        ++budget_denied_;
-        return abandon_call();
-      }
-      holding_retry_slot_ = true;
+  network_.schedule_timer(network_.now() + params_.timeout,
+                          {this, kTimeoutTag, call_seq_, static_cast<std::uint64_t>(attempt_)});
+}
+
+void RpcWorkload::on_timeout(std::uint64_t seq, std::uint64_t attempt) {
+  // Stale timer: the call completed, was abandoned, or a retransmit
+  // already superseded this attempt.
+  if (!awaiting_ || call_seq_ != seq || static_cast<std::uint64_t>(attempt_) != attempt) return;
+  // The attempt that timed out is resolved (unanswered): its budget
+  // slot is free before we decide whether to retransmit again.
+  release_retry_slot();
+  if (attempt_ >= params_.max_retries) return abandon_call();
+  if (params_.retry_budget != nullptr) {
+    if (!params_.retry_budget->try_acquire()) {
+      // The budget would rather fail this call than feed the storm.
+      ++budget_denied_;
+      return abandon_call();
     }
-    ++attempt_;
-    ++total_retries_;
-    network_.after(backoff_delay(attempt_), [this, seq] {
-      if (awaiting_ && call_seq_ == seq) send_attempt();
-    });
-  });
+    holding_retry_slot_ = true;
+  }
+  ++attempt_;
+  ++total_retries_;
+  network_.schedule_timer(network_.now() + backoff_delay(attempt_), {this, kBackoffTag, seq, 0});
 }
 
 void RpcWorkload::abandon_call() {
@@ -227,24 +235,26 @@ TimePs RpcWorkload::backoff_delay(int retry) const {
 
 FlowTransfer::FlowTransfer(Network& network, topo::NodeId src, topo::NodeId dst,
                            TransferParams params, std::uint64_t flow_id)
-    : params_(params) {
+    : network_(network), src_(src), dst_(dst), params_(params), flow_id_(flow_id) {
   QUARTZ_REQUIRE(params_.total_bytes > 0, "transfer needs bytes");
   QUARTZ_REQUIRE(params_.packet_size > 0, "packet size must be positive");
   const Bits total_bits = bytes(params_.total_bytes);
   packets_ = static_cast<int>((total_bits + params_.packet_size - 1) / params_.packet_size);
 
-  const int task = network.new_task([this, &network](const Packet&, TimePs) {
+  task_ = network_.new_task([this](const Packet&, TimePs) {
     ++delivered_;
-    if (delivered_ == packets_) finished_at_ = network.now();
+    if (delivered_ == packets_) finished_at_ = network_.now();
   });
-  network.at(params_.start, [this, &network, src, dst, task, flow_id, total_bits] {
-    Bits remaining = total_bits;
-    while (remaining > 0) {
-      const Bits size = std::min(remaining, params_.packet_size);
-      network.send(src, dst, size, task, flow_id);
-      remaining -= size;
-    }
-  });
+  network_.schedule_timer(params_.start, {this});
+}
+
+void FlowTransfer::on_timer(const TimerEvent&) {
+  Bits remaining = bytes(params_.total_bytes);
+  while (remaining > 0) {
+    const Bits size = std::min(remaining, params_.packet_size);
+    network_.send(src_, dst_, size, task_, flow_id_);
+    remaining -= size;
+  }
 }
 
 TimePs FlowTransfer::completion_time() const {
@@ -265,19 +275,15 @@ BurstSource::BurstSource(Network& network, topo::NodeId src, topo::NodeId dst, i
   // Random phase so concurrent sources are unsynchronised (§6.1).
   const TimePs first = params_.start + static_cast<TimePs>(rng_.next_below(
                                            static_cast<std::uint64_t>(interval_)));
-  if (first < params_.stop) {
-    network_.at(first, [this] { fire(); });
-  }
+  if (first < params_.stop) network_.schedule_timer(first, {this});
 }
 
-void BurstSource::fire() {
+void BurstSource::on_timer(const TimerEvent&) {
   for (int i = 0; i < params_.packets_per_burst; ++i) {
     network_.send(src_, dst_, params_.packet_size, task_, flow_id_);
   }
   const TimePs next = network_.now() + interval_;
-  if (next < params_.stop) {
-    network_.at(next, [this] { fire(); });
-  }
+  if (next < params_.stop) network_.schedule_timer(next, {this});
 }
 
 namespace {

@@ -11,8 +11,11 @@
 //  * BurstSource — Nuttcp-style bursts of packets separated by idle
 //    intervals chosen to hit a target bandwidth (§6.1 cross-traffic).
 //
-// Generators are pinned in memory once started (events capture `this`);
-// they are neither copyable nor movable.
+// Every generator schedules its work as engine timers; what a pending
+// event must remember (an RPC's call and attempt, say) rides in the
+// timer's (tag, a, b), and random draws come from the generator's own
+// Rng.  Generators are pinned in memory once started (their timers
+// point at them); they are neither copyable nor movable.
 #pragma once
 
 #include <memory>
@@ -33,7 +36,7 @@ struct FlowParams {
   TimePs stop = seconds(1);
 };
 
-class PoissonFlow {
+class PoissonFlow final : public TimerHandler {
  public:
   /// Sends with the given task id; register the task (and its
   /// measurement handler) on the network first.
@@ -45,7 +48,8 @@ class PoissonFlow {
   std::uint64_t packets_sent() const { return sent_; }
 
  private:
-  void schedule_next();
+  /// Send one packet and chain the next arrival.
+  void on_timer(const TimerEvent& event) override;
 
   Network& network_;
   topo::NodeId src_, dst_;
@@ -115,7 +119,7 @@ struct ScatterGatherParams {
 /// every participant, and each participant replies upon receipt.  Both
 /// directions' packets are measured (the paper reports latency per
 /// packet for the combined operation).
-class ScatterGatherTask {
+class ScatterGatherTask final : public TimerHandler {
  public:
   ScatterGatherTask(Network& network, topo::NodeId initiator,
                     std::vector<topo::NodeId> participants, ScatterGatherParams params, Rng rng);
@@ -127,7 +131,8 @@ class ScatterGatherTask {
   void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
-  void schedule_round();
+  /// Start one round and chain the next.
+  void on_timer(const TimerEvent& event) override;
 
   Network& network_;
   topo::NodeId initiator_;
@@ -175,7 +180,7 @@ struct RpcParams {
 /// measure its goodput and recovery-time percentiles across cuts.
 /// Retransmitted requests and stale replies are matched by a per-call
 /// sequence number carried in the packet tag.
-class RpcWorkload {
+class RpcWorkload final : public TimerHandler {
  public:
   RpcWorkload(Network& network, topo::NodeId client, topo::NodeId server, RpcParams params,
               Rng rng);
@@ -200,6 +205,17 @@ class RpcWorkload {
   void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
+  /// Timer tags and the operands each carries.
+  enum TimerTag : std::uint32_t {
+    kIssueTag = 0,    ///< first call
+    kReplyTag = 1,    ///< server reply after the service time; a = call seq
+    kTimeoutTag = 2,  ///< attempt timed out; a = call seq, b = attempt
+    kBackoffTag = 3,  ///< backoff over, retransmit; a = call seq
+  };
+
+  void on_timer(const TimerEvent& event) override;
+  void on_timeout(std::uint64_t seq, std::uint64_t attempt);
+  void send_reply(std::uint64_t seq);
   void issue();
   void send_attempt();
   void abandon_call();
@@ -234,7 +250,7 @@ struct TransferParams {
 /// A bulk transfer: the whole flow is handed to the NIC at `start` and
 /// drains at line rate (the paper's MapReduce-style background flows).
 /// Records the flow completion time — when the last packet lands.
-class FlowTransfer {
+class FlowTransfer final : public TimerHandler {
  public:
   FlowTransfer(Network& network, topo::NodeId src, topo::NodeId dst, TransferParams params,
                std::uint64_t flow_id);
@@ -247,7 +263,14 @@ class FlowTransfer {
   TimePs completion_time() const;
 
  private:
+  /// Hand the whole flow to the NIC.
+  void on_timer(const TimerEvent& event) override;
+
+  Network& network_;
+  topo::NodeId src_, dst_;
   TransferParams params_;
+  std::uint64_t flow_id_;
+  int task_ = -1;
   int packets_ = 0;
   int delivered_ = 0;
   TimePs finished_at_ = 0;
@@ -264,7 +287,7 @@ struct BurstParams {
 /// Bursts of back-to-back packets separated by idle gaps sized to meet
 /// the target average bandwidth; bursts from different sources are
 /// unsynchronised via a random phase.
-class BurstSource {
+class BurstSource final : public TimerHandler {
  public:
   BurstSource(Network& network, topo::NodeId src, topo::NodeId dst, int task, BurstParams params,
               Rng rng);
@@ -272,7 +295,8 @@ class BurstSource {
   BurstSource& operator=(const BurstSource&) = delete;
 
  private:
-  void fire();
+  /// Send one burst and chain the next.
+  void on_timer(const TimerEvent& event) override;
 
   Network& network_;
   topo::NodeId src_, dst_;

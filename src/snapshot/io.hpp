@@ -38,7 +38,9 @@ namespace quartz::snapshot {
 
 inline constexpr std::array<char, 8> kFileMagic = {'Q', 'S', 'N', 'A',
                                                    'P', '\n', '0', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2: the engine saves one event record per pending timer (no
+/// probe or closure events) and one handler table.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Four-character chunk tag packed little-endian ("NETW" etc).
 constexpr std::uint32_t chunk_id(const char (&tag)[5]) {

@@ -9,6 +9,7 @@
 #include "routing/oracle.hpp"
 #include "sim/experiments.hpp"
 #include "sim/workloads.hpp"
+#include "support/closure_timer.hpp"
 #include "topo/builders.hpp"
 #include "topo/properties.hpp"
 #include "wavelength/multiring.hpp"
@@ -149,6 +150,7 @@ TEST(Integration, DualTorTwoSwitchPaths) {
   routing::EcmpRouting routing(t.graph);
   routing::EcmpOracle oracle(routing);
   sim::Network net(t, oracle);
+  test::ClosureTimer timers(net);
 
   // Every cross-rack host pair is 3 links (host, mesh, host) away.
   for (std::size_t a = 0; a < t.host_groups.size(); ++a) {
@@ -170,7 +172,7 @@ TEST(Integration, DualTorTwoSwitchPaths) {
   Rng rng(41);
   for (int i = 0; i < 200; ++i) {
     // Spread sends out so queueing does not blur the hop-count check.
-    net.at(microseconds(5) * i, [&net, &rng, &t, task] {
+    timers.at(microseconds(5) * i, [&net, &rng, &t, task] {
       const auto src = t.hosts[rng.next_below(t.hosts.size())];
       auto dst = t.hosts[rng.next_below(t.hosts.size())];
       while (dst == src) dst = t.hosts[rng.next_below(t.hosts.size())];

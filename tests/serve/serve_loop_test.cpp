@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "support/closure_timer.hpp"
+
 namespace quartz::serve {
 namespace {
 
@@ -163,7 +165,8 @@ TEST(ServeLoopTest, RegroomRejectsPinsOverDeadDetourLegs) {
   const auto& ring = loop.topology().quartz_rings.front();
   const topo::LinkId leg = mesh_link_between(loop.topology(), ring[0], ring[2]);
   ASSERT_NE(leg, topo::kInvalidLink);
-  loop.network().at(microseconds(500), [&loop, leg] { loop.network().fail_link(leg); });
+  test::ClosureTimer timers(loop.network());
+  timers.at(microseconds(500), [&loop, leg] { loop.network().fail_link(leg); });
 
   const ServeReport report = loop.run();
   EXPECT_EQ(report.reconfigurations, 1u);

@@ -1,7 +1,7 @@
 // Checkpoint/restore of the event engine itself: pending typed events
-// survive a save into a fresh engine with their exact (time, seq)
-// dispatch order, and the non-serializable callback escape hatch is
-// refused up front.
+// survive a save into a fresh engine with their exact (time, stamp, seq)
+// dispatch order, and a snapshot naming an unknown event type is
+// refused rather than misparsed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,12 +84,34 @@ TEST(EngineSnapshot, TimersSurviveWithExactOrder) {
   EXPECT_EQ(restored.events_run(), q.events_run());
 }
 
-TEST(EngineSnapshot, RefusesPendingCallbacks) {
-  EventQueue q;
-  q.schedule(5, [] {});
-  snapshot::Writer w;
-  w.begin_chunk(snapshot::chunk_id("ENGN"));
-  EXPECT_THROW(q.save(w, HandlerMap{}), std::invalid_argument);
+TEST(EngineSnapshot, RejectsUnknownEventTypes) {
+  // 6 was the retired closure event; 0xFF was never assigned.  Either
+  // must stop the restore instead of misparsing every byte after it.
+  for (const std::uint8_t type : {std::uint8_t{6}, std::uint8_t{0xFF}}) {
+    snapshot::Writer w;
+    w.begin_chunk(snapshot::chunk_id("ENGN"));
+    w.put_i64(0);   // now
+    w.put_u64(1);   // next seq
+    w.put_u64(0);   // events run
+    w.put_u64(1);   // one pending entry: (time, stamp, seq, type)
+    w.put_i64(10);
+    w.put_u64(0);
+    w.put_u64(0);
+    w.put_u8(type);
+    w.end_chunk();
+    std::string error;
+    auto reader = snapshot::Reader::from_bytes(snapshot::file_bytes(w, 0), &error);
+    ASSERT_TRUE(reader.has_value()) << error;
+    reader->open_chunk(snapshot::chunk_id("ENGN"));
+    EventQueue q;
+    try {
+      q.restore(*reader, HandlerMap{});
+      ADD_FAILURE() << "type byte " << int{type} << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string expected = "unknown event type " + std::to_string(type);
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(EngineSnapshot, RefusesRestoreIntoUsedEngine) {

@@ -2,17 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
+
+#include "support/closure_timer.hpp"
 
 namespace quartz::sim {
 namespace {
 
+using Closures = test::ClosureTimer<EventQueue>;
+
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
+  Closures timers(q);
   std::vector<int> order;
-  q.schedule(30, [&] { order.push_back(3); });
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(20, [&] { order.push_back(2); });
+  timers.at(30, [&] { order.push_back(3); });
+  timers.at(10, [&] { order.push_back(1); });
+  timers.at(20, [&] { order.push_back(2); });
   q.run_until(100);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), 100);
@@ -20,9 +27,10 @@ TEST(EventQueue, RunsInTimeOrder) {
 
 TEST(EventQueue, TiesBreakByScheduleOrder) {
   EventQueue q;
+  Closures timers(q);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&order, i] { order.push_back(i); });
+    timers.at(5, [&order, i] { order.push_back(i); });
   }
   q.run_until(5);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -30,21 +38,23 @@ TEST(EventQueue, TiesBreakByScheduleOrder) {
 
 TEST(EventQueue, EventsMayScheduleMoreEvents) {
   EventQueue q;
+  Closures timers(q);
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
-    if (fired < 5) q.schedule(q.now() + 10, chain);
+    if (fired < 5) timers.after(10, chain);
   };
-  q.schedule(0, chain);
+  timers.at(0, chain);
   q.run_until(1000);
   EXPECT_EQ(fired, 5);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue q;
+  Closures timers(q);
   int fired = 0;
-  q.schedule(10, [&] { ++fired; });
-  q.schedule(20, [&] { ++fired; });
+  timers.at(10, [&] { ++fired; });
+  timers.at(20, [&] { ++fired; });
   q.run_until(15);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.now(), 15);
@@ -54,13 +64,15 @@ TEST(EventQueue, RunUntilStopsAtBoundary) {
 
 TEST(EventQueue, CannotScheduleIntoThePast) {
   EventQueue q;
+  Closures timers(q);
   q.run_until(100);
-  EXPECT_THROW(q.schedule(50, [] {}), std::invalid_argument);
+  EXPECT_THROW(timers.at(50, [] {}), std::invalid_argument);
 }
 
 TEST(EventQueue, RunOneAdvancesClock) {
   EventQueue q;
-  q.schedule(42, [] {});
+  Closures timers(q);
+  timers.at(42, [] {});
   EXPECT_EQ(q.next_time(), 42);
   q.run_one();
   EXPECT_EQ(q.now(), 42);
@@ -70,8 +82,9 @@ TEST(EventQueue, RunOneAdvancesClock) {
 
 TEST(EventQueue, SizeTracksPending) {
   EventQueue q;
-  q.schedule(1, [] {});
-  q.schedule(2, [] {});
+  Closures timers(q);
+  timers.at(1, [] {});
+  timers.at(2, [] {});
   EXPECT_EQ(q.size(), 2u);
   q.run_one();
   EXPECT_EQ(q.size(), 1u);
@@ -103,27 +116,25 @@ class RecordingHandler : public EventHandler {
   EventQueue& queue_;
 };
 
-class RecordingProbeHandler : public ProbeHandler {
+class RecordingTimerHandler : public TimerHandler {
  public:
-  void on_probe_event(const ProbeEvent& event) override { probes.push_back(event); }
-  std::vector<ProbeEvent> probes;
+  void on_timer(const TimerEvent& event) override { timers.push_back(event); }
+  std::vector<TimerEvent> timers;
 };
 
 TEST(EventQueue, TypedEventsInterleaveWithCallbacksInTimeOrder) {
   EventQueue q;
   RecordingHandler handler(q);
-  RecordingProbeHandler probe_handler;
+  RecordingTimerHandler timer_handler;
+  Closures closures(q);
   std::vector<std::string> order;
 
   PacketEvent pe;
   pe.packet.id = 1;
   q.schedule_packet(30, EventType::kDelivery, pe);
-  q.schedule(10, [&order] { order.push_back("callback"); });
+  closures.at(10, [&order] { order.push_back("callback"); });
   q.schedule_fault(20, FaultEvent{3, 7, true});
-  ProbeEvent probe;
-  probe.handler = &probe_handler;
-  probe.link = 5;
-  q.schedule_probe(25, probe);
+  q.schedule_timer(25, {&timer_handler, 2, 5, 0});
 
   q.run_until(100);
   ASSERT_EQ(handler.records.size(), 2u);
@@ -132,8 +143,9 @@ TEST(EventQueue, TypedEventsInterleaveWithCallbacksInTimeOrder) {
   EXPECT_EQ(handler.records[1].type, EventType::kDelivery);
   EXPECT_EQ(handler.records[1].at, 30);
   EXPECT_EQ(order, (std::vector<std::string>{"callback"}));
-  ASSERT_EQ(probe_handler.probes.size(), 1u);
-  EXPECT_EQ(probe_handler.probes[0].link, 5);
+  ASSERT_EQ(timer_handler.timers.size(), 1u);
+  EXPECT_EQ(timer_handler.timers[0].tag, 2u);
+  EXPECT_EQ(timer_handler.timers[0].a, 5u);
   EXPECT_EQ(q.events_run(), 4u);
 }
 
@@ -155,12 +167,12 @@ TEST(EventQueue, SchedulePacketRejectsNonPacketTypes) {
   RecordingHandler handler(q);
   EXPECT_THROW(q.schedule_packet(1, EventType::kFaultTransition, PacketEvent{}),
                std::logic_error);
-  EXPECT_THROW(q.schedule_packet(1, EventType::kCallback, PacketEvent{}), std::logic_error);
+  EXPECT_THROW(q.schedule_packet(1, EventType::kTimer, PacketEvent{}), std::logic_error);
 }
 
-TEST(EventQueue, ProbeEventsRequireAHandler) {
+TEST(EventQueue, TimerEventsRequireAHandler) {
   EventQueue q;
-  EXPECT_THROW(q.schedule_probe(1, ProbeEvent{}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_timer(1, TimerEvent{}), std::invalid_argument);
 }
 
 TEST(EventQueue, PoolCapacityPlateausUnderRecycling) {
@@ -233,6 +245,16 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
     std::uint64_t seen = 0;
   } handler;
   q.set_handler(&handler);
+  // Timers carry their due time in `a`.
+  struct TimerOrderCheck : TimerHandler {
+    void on_timer(const TimerEvent& event) override {
+      EXPECT_LE(last, static_cast<TimePs>(event.a));
+      last = static_cast<TimePs>(event.a);
+      ++seen;
+    }
+    TimePs last = 0;
+    std::uint64_t seen = 0;
+  } timers;
 
   constexpr std::uint64_t kEvents = 1'000'000;
   std::uint64_t state = 0x243F6A8885A308D3ull;  // deterministic pseudo-times
@@ -243,8 +265,6 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
     return state;
   };
   std::uint64_t scheduled = 0;
-  TimePs last_callback = 0;
-  std::uint64_t callbacks = 0;
   while (scheduled < kEvents) {
     // Drain a little between bursts so the heap shrinks and regrows.
     if (scheduled % 10'000 == 0 && !q.empty()) {
@@ -268,11 +288,7 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
         q.schedule_fault(when, FaultEvent{1, 1, false});
         break;
       default:
-        q.schedule(when, [&handler, &last_callback, &callbacks, when] {
-          EXPECT_LE(last_callback, when);
-          last_callback = when;
-          ++callbacks;
-        });
+        q.schedule_timer(when, {&timers, 0, static_cast<std::uint64_t>(when), 0});
         break;
     }
     ++scheduled;
@@ -281,7 +297,7 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.events_run(), kEvents);
   EXPECT_GT(handler.seen, 0u);
-  EXPECT_GT(callbacks, 0u);
+  EXPECT_GT(timers.seen, 0u);
   // Pools grew to the in-flight high-water mark, not the event count.
   EXPECT_LT(q.packet_pool_capacity(), kEvents / 2);
 }

@@ -10,6 +10,7 @@
 #include "routing/oracle.hpp"
 #include "sim/network.hpp"
 #include "sim/workloads.hpp"
+#include "support/closure_timer.hpp"
 #include "topo/builders.hpp"
 #include "topo/failures.hpp"
 
@@ -96,10 +97,11 @@ TEST(FaultInjection, InFlightPacketDropsWhenItsLinkFails) {
   routing::EcmpRouting routing(t.graph);
   routing::EcmpOracle oracle(routing);
   Network net(t, oracle);
+  test::ClosureTimer timers(net);
   const int task = net.new_task({});
   const topo::LinkId direct = direct_link(t, t.tors[0], t.tors[1]);
   net.send(host_of(t, t.tors[0]), host_of(t, t.tors[1]), bytes(400), task, 1);
-  net.at(microseconds(10), [&net, direct] { net.fail_link(direct); });
+  timers.at(microseconds(10), [&net, direct] { net.fail_link(direct); });
   net.run_until(milliseconds(1));
   EXPECT_EQ(net.packets_delivered(), 0u);
   EXPECT_EQ(net.packets_dropped(DropReason::kLinkDown), 1u);
@@ -140,12 +142,13 @@ TEST(FaultInjection, RapidFlapNeverAppliesStaleDetection) {
   SimConfig config;
   config.failure_detection_delay = microseconds(100);
   Network net(t, oracle, config);
+  test::ClosureTimer timers(net);
   const topo::LinkId direct = direct_link(t, t.tors[0], t.tors[1]);
-  net.at(0, [&] { net.fail_link(direct); });
-  net.at(microseconds(50), [&] { net.repair_link(direct); });
+  timers.at(0, [&] { net.fail_link(direct); });
+  timers.at(microseconds(50), [&] { net.repair_link(direct); });
   bool ever_dead = false;
   for (TimePs when = 0; when <= microseconds(400); when += microseconds(10)) {
-    net.at(when, [&] { ever_dead = ever_dead || net.failure_view().is_dead(direct); });
+    timers.at(when, [&] { ever_dead = ever_dead || net.failure_view().is_dead(direct); });
   }
   net.run_until(microseconds(500));
   EXPECT_FALSE(ever_dead);
@@ -163,6 +166,7 @@ TEST(FaultInjection, ScriptedCutShowsLossOnlyInsideDetectionWindow) {
   SimConfig config;
   config.failure_detection_delay = milliseconds(50);
   Network net(t, oracle, config);
+  test::ClosureTimer timers(net);
   oracle.attach_failure_view(&net.failure_view());
 
   const auto severed = topo::severed_links(t, {{0, 0}});
@@ -186,7 +190,7 @@ TEST(FaultInjection, ScriptedCutShowsLossOnlyInsideDetectionWindow) {
   net.add_sink(&sink);
 
   for (int i = 0; i < 4'000; ++i) {
-    net.at(milliseconds(1) * i, [&net, src, dst, task] {
+    timers.at(milliseconds(1) * i, [&net, src, dst, task] {
       net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
     });
   }
@@ -258,12 +262,13 @@ TEST(FaultInjection, PoissonChurnConservesPacketsAndConverges) {
   SimConfig config;
   config.failure_detection_delay = microseconds(500);
   Network net(t, oracle, config);
+  test::ClosureTimer timers(net);
   oracle.attach_failure_view(&net.failure_view());
 
   const int task = net.new_task({});
   Rng rng(17);
   for (int i = 0; i < 20'000; ++i) {
-    net.at(microseconds(10) * i, [&net, &t, &rng, task] {
+    timers.at(microseconds(10) * i, [&net, &t, &rng, task] {
       const auto src = t.hosts[rng.next_below(t.hosts.size())];
       auto dst = t.hosts[rng.next_below(t.hosts.size())];
       while (dst == src) dst = t.hosts[rng.next_below(t.hosts.size())];
@@ -306,6 +311,7 @@ TEST(FaultScheduler, OverlappingCutWindowsDoNotResurrectTheLink) {
   routing::EcmpRouting routing(t.graph);
   routing::EcmpOracle oracle(routing);
   Network net(t, oracle);
+  test::ClosureTimer timers(net);
   FaultScheduler faults(net);
   const topo::LinkId direct = direct_link(t, t.tors[0], t.tors[1]);
 
@@ -315,7 +321,7 @@ TEST(FaultScheduler, OverlappingCutWindowsDoNotResurrectTheLink) {
   std::vector<std::pair<TimePs, bool>> observed;
   for (const TimePs when :
        {milliseconds(20), milliseconds(60), milliseconds(120), milliseconds(160)}) {
-    net.at(when, [&net, &observed, direct] { observed.emplace_back(net.now(), net.link_up(direct)); });
+    timers.at(when, [&net, &observed, direct] { observed.emplace_back(net.now(), net.link_up(direct)); });
   }
   net.run_until(milliseconds(200));
 
@@ -338,6 +344,7 @@ TEST(FaultScheduler, NeverRepairedCutKeepsTrafficOnDetours) {
   SimConfig config;
   config.failure_detection_delay = milliseconds(1);
   Network net(t, oracle, config);
+  test::ClosureTimer timers(net);
   oracle.attach_failure_view(&net.failure_view());
 
   const auto severed = topo::severed_links(t, {{0, 0}});
@@ -349,7 +356,7 @@ TEST(FaultScheduler, NeverRepairedCutKeepsTrafficOnDetours) {
   const int task = net.new_task(
       [&](const Packet& p, TimePs) { delivered.emplace_back(net.now(), p.hops); });
   for (int i = 0; i < 200; ++i) {
-    net.at(milliseconds(1) * i, [&net, src, dst, task] {
+    timers.at(milliseconds(1) * i, [&net, src, dst, task] {
       net.send(src, dst, bytes(400), task, 99);
     });
   }
@@ -381,6 +388,7 @@ TEST(FaultScheduler, TransceiverAgingCorruptsPacketsOnlyWhileActive) {
   routing::EcmpRouting routing(t.graph);
   routing::EcmpOracle oracle(routing);
   Network net(t, oracle);  // no failure view: traffic stays on the gray link
+  test::ClosureTimer timers(net);
   FaultScheduler faults(net);
   const topo::LinkId direct = direct_link(t, t.tors[0], t.tors[1]);
   const topo::NodeId src = host_of(t, t.tors[0]);
@@ -388,13 +396,13 @@ TEST(FaultScheduler, TransceiverAgingCorruptsPacketsOnlyWhileActive) {
 
   const int task = net.new_task({});
   for (int i = 0; i < 3'000; ++i) {
-    net.at(microseconds(10) * i, [&net, src, dst, task] {
+    timers.at(microseconds(10) * i, [&net, src, dst, task] {
       net.send(src, dst, bytes(400), task, 99);
     });
   }
   faults.schedule_transceiver_aging(milliseconds(5), direct, 0.5, milliseconds(20));
   std::uint64_t corrupted_at_restore = 0;
-  net.at(milliseconds(20), [&] {
+  timers.at(milliseconds(20), [&] {
     corrupted_at_restore = net.packets_dropped(DropReason::kCorrupted);
     EXPECT_DOUBLE_EQ(net.link_loss_rate(direct), 0.0);  // restored
   });
@@ -422,6 +430,7 @@ TEST(FaultScheduler, StackedDegradationsCombineAndUnwindIndependently) {
   routing::EcmpRouting routing(t.graph);
   routing::EcmpOracle oracle(routing);
   Network net(t, oracle);
+  test::ClosureTimer timers(net);
   FaultScheduler faults(net);
   const topo::LinkId direct = direct_link(t, t.tors[0], t.tors[1]);
 
@@ -431,7 +440,7 @@ TEST(FaultScheduler, StackedDegradationsCombineAndUnwindIndependently) {
   faults.schedule_transceiver_aging(milliseconds(10), direct, 0.2, milliseconds(20));
   std::vector<double> loss;
   for (const TimePs when : {milliseconds(5), milliseconds(15), milliseconds(25), milliseconds(35)}) {
-    net.at(when, [&net, &loss, direct] { loss.push_back(net.link_loss_rate(direct)); });
+    timers.at(when, [&net, &loss, direct] { loss.push_back(net.link_loss_rate(direct)); });
   }
   net.run_until(milliseconds(40));
 

@@ -9,6 +9,7 @@
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
 #include "sim/network.hpp"
+#include "support/closure_timer.hpp"
 #include "topo/builders.hpp"
 #include "topo/failures.hpp"
 
@@ -67,6 +68,7 @@ TEST(ProbePlane, HardFailureIsDetectedByMissedProbesAndRecoveryByAcks) {
   routing::EcmpRouting routing(t.graph);
   routing::EcmpOracle oracle(routing);
   Network net(t, oracle);
+  test::ClosureTimer timers(net);
   routing::HealthMonitor monitor(t.graph.link_count(), tight_config());
   ProbePlane::Options options;
   options.interval = microseconds(10);
@@ -74,7 +76,7 @@ TEST(ProbePlane, HardFailureIsDetectedByMissedProbesAndRecoveryByAcks) {
   const topo::LinkId victim = topo::severed_links(t, {{0, 0}}).front();
   probes.start({victim});
 
-  net.at(milliseconds(1), [&] { net.fail_link(victim); });
+  timers.at(milliseconds(1), [&] { net.fail_link(victim); });
   net.run_until(milliseconds(1) + microseconds(100));
   // Three missed probes (30 us) plus one propagation: long detected.
   EXPECT_EQ(monitor.health(victim), routing::LinkHealth::kDead);
@@ -164,6 +166,7 @@ FlapOutcome run_flap_scenario(bool monitored) {
   SimConfig config;
   if (!monitored) config.failure_detection_delay = microseconds(500);
   Network net(t, oracle, config);
+  test::ClosureTimer timers(net);
 
   routing::HealthMonitor monitor(t.graph.link_count(), tight_config());
   ProbePlane::Options options;
@@ -184,7 +187,7 @@ FlapOutcome run_flap_scenario(bool monitored) {
   const topo::NodeId dst = host_of(t, link.b);
   const int task = net.new_task({});
   for (int i = 0; i < 2'000; ++i) {
-    net.at(microseconds(50) * i, [&net, src, dst, task] {
+    timers.at(microseconds(50) * i, [&net, src, dst, task] {
       net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
     });
   }

@@ -119,6 +119,16 @@ TEST(SnapshotIo, RejectsBadMagicVersionAndCrc) {
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
 }
 
+TEST(SnapshotIo, RejectsVersionOneSnapshots) {
+  // Version 1 engines saved probe events beside timers; their snapshots
+  // must be refused, never read as version 2.
+  std::vector<std::byte> old = file_bytes(sample_writer(), 1);
+  old[8] = std::byte{1};
+  std::string error;
+  EXPECT_FALSE(Reader::from_bytes(old, &error).has_value());
+  EXPECT_EQ(error, "unsupported version 1");
+}
+
 TEST(SnapshotIo, DetectsTornWrites) {
   const std::vector<std::byte> good = file_bytes(sample_writer(), 1);
   std::string error;

@@ -12,6 +12,7 @@
 #include "sim/experiments.hpp"
 #include "sim/packet.hpp"
 #include "sim/workloads.hpp"
+#include "support/closure_timer.hpp"
 #include "telemetry/binary_stream.hpp"
 #include "telemetry/stream_sink.hpp"
 
@@ -175,6 +176,7 @@ TEST(Decode, ExperimentCaptureMatchesTheLegacyDirectExport) {
   sim::SimConfig config;
   config.failure_detection_delay = microseconds(50);
   sim::Network net(fabric.topo, *fabric.oracle, config);
+  test::ClosureTimer timers(net);
   if (fabric.fib != nullptr) net.set_fib(fabric.fib.get());
 
   std::ostringstream direct;
@@ -196,10 +198,10 @@ TEST(Decode, ExperimentCaptureMatchesTheLegacyDirectExport) {
   // link turns lossy, then clean.
   const topo::LinkId cut = fabric.topo.graph.neighbors(hosts[0]).front().link;
   const topo::LinkId lossy = fabric.topo.graph.neighbors(receivers[2]).front().link;
-  net.at(microseconds(200), [&] { net.fail_link(cut); });
-  net.at(microseconds(400), [&] { net.repair_link(cut); });
-  net.at(microseconds(300), [&] { net.set_link_loss(lossy, 0.3); });
-  net.at(microseconds(700), [&] { net.set_link_loss(lossy, 0.0); });
+  timers.at(microseconds(200), [&] { net.fail_link(cut); });
+  timers.at(microseconds(400), [&] { net.repair_link(cut); });
+  timers.at(microseconds(300), [&] { net.set_link_loss(lossy, 0.3); });
+  timers.at(microseconds(700), [&] { net.set_link_loss(lossy, 0.0); });
   net.run_until(milliseconds(2));
   stream.finish();
 

@@ -7,6 +7,7 @@
 #include "routing/ecmp.hpp"
 #include "routing/oracle.hpp"
 #include "sim/network.hpp"
+#include "support/closure_timer.hpp"
 #include "topo/builders.hpp"
 
 namespace quartz::telemetry {
@@ -34,6 +35,7 @@ struct Fixture {
 TEST(PeriodicSampler, BucketsDeliveriesByTime) {
   auto f = Fixture::single_switch();
   sim::Network net(f.topo, *f.oracle);
+  test::ClosureTimer timers(net);
   PeriodicSampler::Options options;
   options.bucket = microseconds(100);
   PeriodicSampler sampler(options);
@@ -42,7 +44,7 @@ TEST(PeriodicSampler, BucketsDeliveriesByTime) {
   // Two packets delivered inside bucket 0, one in bucket 2.
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   net.send(f.topo.hosts[2], f.topo.hosts[3], bytes(400), task, 2);
-  net.at(microseconds(250), [&] {
+  timers.at(microseconds(250), [&] {
     net.send(f.topo.hosts[0], f.topo.hosts[2], bytes(400), task, 3);
   });
   net.run_until(milliseconds(1));
@@ -174,10 +176,11 @@ TEST(FaultTimeline, ObservesLiveNetworkFailures) {
   sim::SimConfig config;
   config.failure_detection_delay = microseconds(100);
   sim::Network net(f.topo, *f.oracle, config);
+  test::ClosureTimer timers(net);
   FaultTimeline timeline;
   net.add_sink(&timeline);
-  net.at(microseconds(10), [&] { net.fail_link(0); });
-  net.at(microseconds(400), [&] { net.repair_link(0); });
+  timers.at(microseconds(10), [&] { net.fail_link(0); });
+  timers.at(microseconds(400), [&] { net.repair_link(0); });
   net.run_until(milliseconds(1));
 
   EXPECT_EQ(timeline.cuts(), 1u);
