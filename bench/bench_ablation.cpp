@@ -339,23 +339,6 @@ void report() {
   report_scale_sensitivity();
 }
 
-void BM_SpanningTreeSim(benchmark::State& state) {
-  topo::QuartzRingParams ring;
-  ring.switches = 8;
-  ring.hosts_per_switch = 2;
-  const topo::BuiltTopology t = topo::quartz_ring(ring);
-  routing::EcmpRouting routing(t.graph);
-  const routing::SpanningTreeOracle stp(t.graph, t.tors[0]);
-  for (auto _ : state) {
-    sim::Network net(t, stp);
-    const int task = net.new_task({});
-    net.send(t.hosts[0], t.hosts[9], bytes(400), task, 1);
-    net.run_until(milliseconds(1));
-    benchmark::DoNotOptimize(net.packets_delivered());
-  }
-}
-BENCHMARK(BM_SpanningTreeSim);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

@@ -1,18 +1,16 @@
-// Engine microbenchmark: the typed pooled event queue on a Fig.
+// Engine allocation bar: the typed pooled event queue on a Fig.
 // 18-shaped replay (Poisson arrivals -> per-hop header-decision /
-// transmit-complete chains -> delivery).  Measures events/sec and
-// allocations/event via a counting operator-new hook and enforces zero
-// steady-state allocations.  Speed is judged against the committed
-// bench/suite baselines, not against a retired engine.
+// transmit-complete chains -> delivery).  Counts allocations/event via
+// a counting operator-new hook and enforces zero steady-state
+// allocations; events/sec is reported, not gated.  Speed is judged by
+// the bench/suite workloads against their committed baselines.
 #include "report.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <new>
-#include <thread>
 
-#include "chaos/sharded_storm.hpp"
 #include "common/check.hpp"
 #include "sim/event_queue.hpp"
 
@@ -81,7 +79,6 @@ class TypedReplay final : public sim::EventHandler, public sim::TimerHandler {
 
   std::uint64_t events_run() const { return queue_.events_run(); }
   std::uint64_t delivered() const { return delivered_; }
-  std::uint64_t checksum() const { return checksum_; }
   const sim::EventQueue& engine() const { return queue_; }
 
  private:
@@ -117,7 +114,6 @@ class TypedReplay final : public sim::EventHandler, public sim::TimerHandler {
         return;
       case sim::EventType::kDelivery:
         ++delivered_;
-        checksum_ += event.packet.id + static_cast<std::uint64_t>(now - event.packet.created);
         return;
       default:
         QUARTZ_CHECK(false, "unexpected event type in replay");
@@ -129,7 +125,6 @@ class TypedReplay final : public sim::EventHandler, public sim::TimerHandler {
   std::uint64_t remaining_ = 0;
   std::uint64_t next_id_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t checksum_ = 0;
 };
 
 struct RunStats {
@@ -154,8 +149,6 @@ RunStats timed(Fn&& fn) {
 
 constexpr std::uint64_t kWarmPackets = 20'000;
 constexpr std::uint64_t kPackets = 300'000;
-
-void multicore_report();
 
 void report() {
   bench::Report::instance().open(
@@ -200,120 +193,7 @@ void report() {
       "the typed engine recycles POD slots through free lists and schedules "
       "through a two-tier calendar (O(1) bucket appends, exact ordering in a "
       "window-sized heap), so a warm steady-state simulation never allocates");
-
-  multicore_report();
 }
-
-// --- intra-run sharding at million-event scale ------------------------------
-//
-// ONE composite-fabric simulation (ring-of-rings:8x8@2, 128 hosts,
-// ~2M events serial) through the conservative time-windowed parallel
-// engine at 1 and 8 shards.  The digest equality is CHECKed
-// unconditionally — parallel execution must preserve the serial event
-// order bit-for-bit; the >= 3x events/sec speedup bar (4x is the
-// target) only binds on optimized builds with >= 8 hardware threads,
-// because below that the barrier overhead has nothing to amortize
-// against.
-
-chaos::ShardedStormParams multicore_params(int shards) {
-  chaos::ShardedStormParams params;
-  params.seed = 4242;
-  params.composite = "ring-of-rings:8x8@2";
-  params.shards = shards;
-  params.packets_per_host = 1000;
-  params.packet_gap = microseconds(1);
-  params.cuts = 0;
-  params.gray_links = 0;
-  params.flapping_links = 0;
-  params.storm_start = 0;
-  params.storm_end = 0;
-  params.run_until = milliseconds(2);
-  return params;
-}
-
-struct MulticoreRun {
-  chaos::ShardedStormResult result;
-  double seconds = 0;
-  double events_per_sec() const {
-    return seconds > 0 ? static_cast<double>(result.events) / seconds : 0;
-  }
-};
-
-MulticoreRun timed_sharded(int shards) {
-  MulticoreRun run;
-  const auto start = std::chrono::steady_clock::now();
-  run.result = chaos::run_storm(multicore_params(shards));
-  run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return run;
-}
-
-void multicore_report() {
-  const unsigned cores = std::thread::hardware_concurrency();
-  const MulticoreRun serial = timed_sharded(1);
-  const MulticoreRun sharded = timed_sharded(8);
-
-  const bool digest_match =
-      serial.result.delivery_digest == sharded.result.delivery_digest &&
-      serial.result.drop_digest == sharded.result.drop_digest;
-  // events_processed at 8 shards includes the replicated control
-  // plane, so the honest speedup compares useful throughput: the
-  // SERIAL event count over each configuration's wall clock.
-  const double speedup =
-      sharded.seconds > 0 ? serial.seconds / sharded.seconds : 0.0;
-
-  Table table({"configuration", "events", "deliveries", "wall (s)", "events/sec (M)"});
-  for (const auto& [name, run] :
-       {std::pair<const char*, const MulticoreRun&>{"1 shard (serial reference)", serial},
-        {"8 shards (windowed parallel)", sharded}}) {
-    char wall[16], eps[16];
-    std::snprintf(wall, sizeof(wall), "%.3f", run.seconds);
-    std::snprintf(eps, sizeof(eps), "%.2f", run.events_per_sec() / 1e6);
-    table.add_row({name, std::to_string(run.result.events),
-                   std::to_string(run.result.deliveries), wall, eps});
-  }
-  bench::Report::instance().add_table("engine_multicore", table);
-
-#ifdef NDEBUG
-  const bool optimized = true;
-#else
-  const bool optimized = false;
-#endif
-  // The speedup bar only binds where it can physically hold.
-  const bool checked = optimized && cores >= 8;
-  bench::Report::instance().add_row(
-      "engine_multicore_summary",
-      {{"serial_events_per_sec", serial.events_per_sec()},
-       {"sharded_events_per_sec", sharded.events_per_sec()},
-       {"serial_events", static_cast<std::int64_t>(serial.result.events)},
-       {"speedup", speedup},
-       {"digest_match", static_cast<std::int64_t>(digest_match ? 1 : 0)},
-       {"hardware_threads", static_cast<std::int64_t>(cores)},
-       {"speedup_checked", static_cast<std::int64_t>(checked ? 1 : 0)}});
-
-  QUARTZ_CHECK(digest_match,
-               "sharded execution must reproduce the serial digests bit-for-bit");
-  QUARTZ_CHECK(serial.result.deliveries > 0 && serial.result.events >= 1'000'000,
-               "multicore bench must run at million-event scale");
-  if (checked) {
-    QUARTZ_CHECK(speedup >= 3.0, "8-shard speedup is below the 3x acceptance bar");
-  }
-  std::printf("multicore: %llu events, speedup %.2fx at 8 shards (%u hw threads, "
-              "digest %s, bar %s)\n",
-              static_cast<unsigned long long>(serial.result.events), speedup, cores,
-              digest_match ? "match" : "MISMATCH",
-              checked ? "enforced: >=3x" : "reported only (needs NDEBUG + >=8 threads)");
-}
-
-void BM_TypedEngine(benchmark::State& state) {
-  TypedReplay replay;
-  replay.run(kWarmPackets);  // grow pools outside the timed loop
-  for (auto _ : state) {
-    replay.run(20'000);
-    benchmark::DoNotOptimize(replay.checksum());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 20'000);
-}
-BENCHMARK(BM_TypedEngine)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -403,50 +403,6 @@ void report_flap_damping() {
       "instead of blackholing every down window");
 }
 
-/// Event-processing cost of a dense Poisson cut/repair churn timeline
-/// (no traffic: isolates the fault machinery).
-void BM_PoissonChurn(benchmark::State& state) {
-  const topo::BuiltTopology topo = make_fabric();
-  routing::EcmpRouting routing(topo.graph);
-  routing::EcmpOracle oracle(routing);
-  for (auto _ : state) {
-    sim::Network net(topo, oracle);
-    sim::FaultScheduler faults(net);
-    sim::PoissonFaultParams churn;
-    churn.failures_per_link_per_hour = 3.6e6;  // mean TTF 1 ms
-    churn.mean_repair_hours = 1e-6;            // mean TTR 3.6 ms
-    churn.stop = seconds(1);
-    faults.run_poisson(churn, {}, Rng(7));
-    net.run_until(seconds(1));
-    benchmark::DoNotOptimize(faults.cuts() + faults.repairs());
-  }
-}
-BENCHMARK(BM_PoissonChurn)->Unit(benchmark::kMillisecond);
-
-/// Forwarding-decision cost when the direct lightpath is known dead and
-/// every packet takes the self-healed detour.
-void BM_HealedForwardingDecision(benchmark::State& state) {
-  const topo::BuiltTopology topo = make_fabric();
-  routing::EcmpRouting ecmp(topo.graph);
-  routing::VlbOracle oracle(ecmp, topo.quartz_rings, 0.0);
-  const auto severed = topo::severed_links(topo, {{0, 0}});
-  routing::FailureView view(topo.graph.link_count());
-  for (const topo::LinkId link : severed) view.set_dead(link, true);
-  oracle.attach_failure_view(&view);
-  const topo::Link& victim = topo.graph.link(severed.front());
-  const topo::NodeId src_host = host_of(topo, victim.a);
-  const topo::NodeId dst_host = host_of(topo, victim.b);
-  std::uint64_t hash = 1;
-  for (auto _ : state) {
-    routing::FlowKey key;
-    key.src = src_host;
-    key.dst = dst_host;
-    key.flow_hash = hash++;
-    benchmark::DoNotOptimize(oracle.next_link(victim.a, key));
-  }
-}
-BENCHMARK(BM_HealedForwardingDecision);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report_all)

@@ -75,30 +75,6 @@ void report() {
       "channel fragmentation");
 }
 
-void BM_GreedyAssign(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(greedy_assign(m).channels_used);
-  }
-}
-BENCHMARK(BM_GreedyAssign)->Arg(8)->Arg(16)->Arg(24)->Arg(35);
-
-void BM_ExactAssign(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exact_assign(m).assignment.channels_used);
-  }
-}
-BENCHMARK(BM_ExactAssign)->Arg(5)->Arg(7)->Arg(8);
-
-void BM_VerifyAssignment(benchmark::State& state) {
-  const Assignment plan = greedy_assign(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(verify(plan));
-  }
-}
-BENCHMARK(BM_VerifyAssignment)->Arg(33);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

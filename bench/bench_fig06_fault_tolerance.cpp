@@ -59,25 +59,6 @@ void report() {
       "four failures");
 }
 
-void BM_FaultTrial(benchmark::State& state) {
-  const auto plan = quartz::wavelength::greedy_assign(33);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluate_failures(plan, 2, {{0, 3}, {1, 17}}));
-  }
-}
-BENCHMARK(BM_FaultTrial);
-
-void BM_MonteCarlo1k(benchmark::State& state) {
-  for (auto _ : state) {
-    FaultParams params;
-    params.physical_rings = static_cast<int>(state.range(0));
-    params.failed_links = 4;
-    params.trials = 1'000;
-    benchmark::DoNotOptimize(analyze_faults(params));
-  }
-}
-BENCHMARK(BM_MonteCarlo1k)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

@@ -55,26 +55,6 @@ void report() {
       "the direct-only column is our ablation showing why VLB matters");
 }
 
-void BM_MaxMinPermutation(benchmark::State& state) {
-  BisectionParams params;
-  params.racks = static_cast<int>(state.range(0));
-  params.hosts_per_rack = params.racks;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_bisection(FabricUnderTest::kQuartz, ThroughputPattern::kPermutation, params));
-  }
-}
-BENCHMARK(BM_MaxMinPermutation)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_MaxMinIncast(benchmark::State& state) {
-  BisectionParams params;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_bisection(FabricUnderTest::kQuartz, ThroughputPattern::kIncast, params));
-  }
-}
-BENCHMARK(BM_MaxMinIncast)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

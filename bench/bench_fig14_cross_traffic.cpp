@@ -57,16 +57,6 @@ void report() {
       "SPAIN-style path selection)");
 }
 
-void BM_CrossTrafficRun(benchmark::State& state) {
-  for (auto _ : state) {
-    CrossTrafficParams params;
-    params.cross_mbps = 200;
-    params.rpc_calls = 200;
-    benchmark::DoNotOptimize(run_cross_traffic(PrototypeFabric::kTwoTierTree, params));
-  }
-}
-BENCHMARK(BM_CrossTrafficRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

@@ -124,27 +124,6 @@ void report() {
       "pays propagation (ring fiber) — the paper's Table 2 trade");
 }
 
-void BM_ScatterExperiment(benchmark::State& state) {
-  for (auto _ : state) {
-    TaskExperimentParams params;
-    params.tasks = static_cast<int>(state.range(0));
-    params.duration = milliseconds(2);
-    benchmark::DoNotOptimize(run_task_experiment(Fabric::kThreeTierTree, {}, params));
-  }
-}
-BENCHMARK(BM_ScatterExperiment)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_ScatterExperimentTraced(benchmark::State& state) {
-  for (auto _ : state) {
-    TaskExperimentParams params;
-    params.tasks = static_cast<int>(state.range(0));
-    params.duration = milliseconds(2);
-    params.telemetry.trace = true;
-    benchmark::DoNotOptimize(run_task_experiment(Fabric::kThreeTierTree, {}, params));
-  }
-}
-BENCHMARK(BM_ScatterExperimentTraced)->Arg(8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

@@ -60,7 +60,7 @@ void run_pattern(Pattern pattern, int max_tasks, const std::string& section) {
 // time-series sampler must leave the simulated results untouched.  Run
 // one configuration both ways and report the deltas (the artifact lets
 // CI assert they stay under 2%; determinism makes them exactly zero).
-void run_overhead_check() {
+void run_passivity_check() {
   const std::vector<bool> variants{false, true};
   const std::vector<TaskExperimentResult> results =
       sweep_runner().run(variants, [](bool with_telemetry) {
@@ -79,11 +79,11 @@ void run_overhead_check() {
   const TaskExperimentResult& traced = results[1];
 
   const auto rel = [](double a, double b) { return b == 0 ? 0.0 : (a - b) / b; };
-  std::printf("\ntelemetry overhead check (quartz in jellyfish, 3 tasks):\n");
+  std::printf("\ntelemetry passivity check (quartz in jellyfish, 3 tasks):\n");
   std::printf("  mean %.4f -> %.4f us, p99 %.4f -> %.4f us\n", plain.mean_latency_us,
               traced.mean_latency_us, plain.p99_latency_us, traced.p99_latency_us);
   bench::Report::instance().add_row(
-      "telemetry_overhead",
+      "telemetry_passivity",
       {{"mean_us_plain", plain.mean_latency_us},
        {"mean_us_traced", traced.mean_latency_us},
        {"p99_us_plain", plain.p99_latency_us},
@@ -98,37 +98,13 @@ void report() {
   run_pattern(Pattern::kScatter, 6, "scatter_local_mean_latency_us");
   run_pattern(Pattern::kGather, 6, "gather_local_mean_latency_us");
   run_pattern(Pattern::kScatterGather, 5, "scatter_gather_local_mean_latency_us");
-  run_overhead_check();
+  run_passivity_check();
   bench::print_note(
       "paper: jellyfish is highest (it cannot exploit locality); the tree "
       "improves (local traffic skips the core) but still rises with "
       "cross-traffic; quartz in edge+core and quartz-in-jellyfish keep "
       "the local task inside one ring and stay flat");
 }
-
-void BM_LocalizedExperiment(benchmark::State& state) {
-  for (auto _ : state) {
-    TaskExperimentParams params;
-    params.tasks = 3;
-    params.localized = true;
-    params.duration = milliseconds(2);
-    benchmark::DoNotOptimize(run_task_experiment(Fabric::kQuartzInJellyfish, {}, params));
-  }
-}
-BENCHMARK(BM_LocalizedExperiment)->Unit(benchmark::kMillisecond);
-
-void BM_LocalizedExperimentTraced(benchmark::State& state) {
-  for (auto _ : state) {
-    TaskExperimentParams params;
-    params.tasks = 3;
-    params.localized = true;
-    params.duration = milliseconds(2);
-    params.telemetry.trace = true;
-    params.telemetry.sample_bucket = milliseconds(1);
-    benchmark::DoNotOptimize(run_task_experiment(Fabric::kQuartzInJellyfish, {}, params));
-  }
-}
-BENCHMARK(BM_LocalizedExperimentTraced)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -63,16 +63,6 @@ void report() {
       "ECMP-cheap when idle, VLB-flat when hot");
 }
 
-void BM_Pathological(benchmark::State& state) {
-  for (auto _ : state) {
-    PathologicalParams params;
-    params.aggregate_gbps = static_cast<double>(state.range(0));
-    params.duration = milliseconds(1);
-    benchmark::DoNotOptimize(run_pathological(CoreKind::kQuartzVlb, params));
-  }
-}
-BENCHMARK(BM_Pathological)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

@@ -11,13 +11,7 @@
 //     simulation is affordable, foreground latency percentiles under
 //     the hybrid mode (background as fluid demands + queue bias) match
 //     the full-packet reference within 10% (QUARTZ_CHECKed).
-//
-// The google-benchmark section then times the underlying pieces: the
-// composite builder, HierOracle lookups, and MaxMinSolver re-solves at
-// the fluid epoch cadence.
 #include "report.hpp"
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
@@ -305,61 +299,6 @@ void run_report() {
   QUARTZ_CHECK(p50_delta < 0.10, "hybrid p50 diverges from full packet by >= 10%");
   QUARTZ_CHECK(p99_delta < 0.10, "hybrid p99 diverges from full packet by >= 10%");
 }
-
-// ---------------------------------------------------------------------------
-// Micro-benchmarks
-
-void BM_composite_build(benchmark::State& state) {
-  const auto spec = topo::CompositeSpec::parse("ring-of-rings:8x8@1");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo::build_composite(*spec));
-  }
-}
-BENCHMARK(BM_composite_build)->Unit(benchmark::kMillisecond);
-
-void BM_hier_next_link(benchmark::State& state) {
-  const auto spec = topo::CompositeSpec::parse("ring-of-rings:8x8@1");
-  const topo::BuiltTopology topo = topo::build_composite(*spec);
-  const routing::HierOracle oracle(topo);
-  const std::vector<topo::NodeId>& hosts = topo.hosts;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    routing::FlowKey key;
-    key.src = hosts[i % hosts.size()];
-    key.dst = hosts[(i * 7 + 13) % hosts.size()];
-    if (key.src == key.dst) key.dst = hosts[(i + 1) % hosts.size()];
-    key.flow_hash = routing::mix_hash(i);
-    // Walk one switch hop like the simulator does per packet.
-    const topo::NodeId attach = topo.graph.neighbors(key.src)[0].peer;
-    benchmark::DoNotOptimize(oracle.next_link(attach, key));
-    ++i;
-  }
-}
-BENCHMARK(BM_hier_next_link);
-
-void BM_maxmin_epoch_resolve(benchmark::State& state) {
-  const auto spec = topo::CompositeSpec::parse("ring-of-rings:8x8@1");
-  const topo::BuiltTopology topo = topo::build_composite(*spec);
-  const routing::HierOracle oracle(topo);
-  std::vector<flow::Flow> flows;
-  for (std::size_t k = 0; k + 9 < topo.hosts.size(); k += 4) {
-    flow::Flow f;
-    f.src = topo.hosts[k];
-    f.dst = topo.hosts[k + 9];
-    f.demand = 1e9;
-    const routing::HierOracle::Path path = oracle.route(f.src, f.dst);
-    flow::Route route;
-    route.links = path.links;
-    route.directions = path.directions;
-    f.routes.push_back(std::move(route));
-    flows.push_back(std::move(f));
-  }
-  flow::MaxMinSolver solver(topo.graph);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(flows));
-  }
-}
-BENCHMARK(BM_maxmin_epoch_resolve);
 
 }  // namespace
 

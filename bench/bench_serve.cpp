@@ -338,47 +338,6 @@ void report_all() {
   bench::Report::instance().set_metrics(&registry);
 }
 
-/// Pure decision cost of the admission controller's hot path.
-void BM_AdmissionDecision(benchmark::State& state) {
-  serve::AdmissionController admission({}, 3);
-  int inflight = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(admission.admit(inflight % 3, inflight % 128));
-    ++inflight;
-  }
-}
-BENCHMARK(BM_AdmissionDecision);
-
-/// One closed SLO window through the probe state machine.
-void BM_AdmissionWindow(benchmark::State& state) {
-  serve::AdmissionController admission({}, 3);
-  telemetry::SloWindow window;
-  window.completed = 500;
-  window.in_deadline = 490;
-  window.p99_us = 900.0;
-  window.goodput_per_sec = 250'000.0;
-  for (auto _ : state) {
-    window.goodput_per_sec += 1.0;  // keep the probe moving
-    admission.on_window(window);
-    benchmark::DoNotOptimize(admission.limit());
-  }
-}
-BENCHMARK(BM_AdmissionWindow);
-
-/// End-to-end cost of a short defended serve run (the whole stack:
-/// arrivals, admission, SLO windows, timeouts, drain).
-void BM_ServeLoopShortRun(benchmark::State& state) {
-  for (auto _ : state) {
-    serve::ServeConfig config = base_config(100'000.0);
-    config.duration = milliseconds(2);
-    config.drain = milliseconds(6);
-    config.shifts.clear();
-    serve::ServeLoop loop(config);
-    benchmark::DoNotOptimize(loop.run().completed);
-  }
-}
-BENCHMARK(BM_ServeLoopShortRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report_all)

@@ -172,65 +172,6 @@ void run_report() {
   std::filesystem::remove_all(dir);
 }
 
-// ---------------------------------------------------------------------------
-// Micro-measurements on a mid-run serve state held in memory.
-
-struct FrozenState {
-  FrozenState() : loop(serve_config()) {
-    loop.start();
-    loop.run_to(milliseconds(6));
-    snapshot::Writer writer;
-    loop.save_snapshot(writer);
-    bytes = snapshot::file_bytes(writer, 1);
-  }
-  serve::ServeLoop loop;
-  std::vector<std::byte> bytes;
-};
-
-FrozenState& frozen() {
-  static FrozenState state;
-  return state;
-}
-
-void BM_SaveSnapshot(benchmark::State& state) {
-  FrozenState& f = frozen();
-  for (auto _ : state) {
-    snapshot::Writer writer;
-    f.loop.save_snapshot(writer);
-    benchmark::DoNotOptimize(writer.buffer().data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.bytes.size()));
-}
-BENCHMARK(BM_SaveSnapshot)->Unit(benchmark::kMicrosecond);
-
-void BM_RestoreSnapshot(benchmark::State& state) {
-  FrozenState& f = frozen();
-  for (auto _ : state) {
-    std::string error;
-    auto reader = snapshot::Reader::from_bytes(f.bytes, &error);
-    QUARTZ_CHECK(reader.has_value(), "frozen snapshot invalid: " + error);
-    serve::ServeLoop fresh(serve_config());
-    fresh.restore_snapshot(*reader);
-    benchmark::DoNotOptimize(fresh.network().now());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.bytes.size()));
-}
-BENCHMARK(BM_RestoreSnapshot)->Unit(benchmark::kMicrosecond);
-
-void BM_ValidateBytes(benchmark::State& state) {
-  FrozenState& f = frozen();
-  for (auto _ : state) {
-    std::string error;
-    auto reader = snapshot::Reader::from_bytes(f.bytes, &error);
-    benchmark::DoNotOptimize(reader.has_value());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.bytes.size()));
-}
-BENCHMARK(BM_ValidateBytes)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(run_report)

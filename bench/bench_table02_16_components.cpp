@@ -95,15 +95,6 @@ void report() {
   bench::Report::instance().add_table("amplifier_plan_sweep", sweep);
 }
 
-void BM_AmplifierPlanning(benchmark::State& state) {
-  optical::RingBudgetParams ring;
-  ring.ring_size = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optical::plan_ring_amplifiers(ring));
-  }
-}
-BENCHMARK(BM_AmplifierPlanning)->Arg(8)->Arg(24)->Arg(35);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

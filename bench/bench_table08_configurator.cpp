@@ -63,21 +63,6 @@ void report() {
       "conclusions are the reproduction target");
 }
 
-void BM_Configurator(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_configurator());
-  }
-}
-BENCHMARK(BM_Configurator)->Unit(benchmark::kMillisecond);
-
-void BM_LatencyEstimate(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        estimate_latency_us(DesignChoice::kQuartzInEdgeAndCore, Utilization::kHigh));
-  }
-}
-BENCHMARK(BM_LatencyEstimate);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

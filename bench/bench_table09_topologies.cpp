@@ -80,28 +80,6 @@ void report() {
       "ULL's 380ns and measure diversity by exact max-flow");
 }
 
-void BM_AnalyzeMesh(benchmark::State& state) {
-  QuartzRingParams p;
-  p.switches = 33;
-  p.hosts_per_switch = 8;
-  const BuiltTopology t = quartz_ring(p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze(t));
-  }
-}
-BENCHMARK(BM_AnalyzeMesh)->Unit(benchmark::kMillisecond);
-
-void BM_PathDiversityMaxFlow(benchmark::State& state) {
-  QuartzRingParams p;
-  p.switches = 33;
-  p.hosts_per_switch = 2;
-  const BuiltTopology t = quartz_ring(p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(path_diversity_between(t.graph, t.tors[0], t.tors[16]));
-  }
-}
-BENCHMARK(BM_PathDiversityMaxFlow);
-
 }  // namespace
 
 QUARTZ_BENCH_MAIN(report)

@@ -9,7 +9,7 @@
 //     budget);
 //   * capture_overhead: the bench_fig18 operating point with the stream
 //     on vs off.  "Overhead" follows the repo's existing telemetry
-//     contract (bench_fig18's telemetry_overhead section): the effect on
+//     contract (bench_fig18's telemetry_passivity section): the effect on
 //     *simulated results*, which determinism makes exactly zero and
 //     which is QUARTZ_CHECKed < 2% under NDEBUG.  Wall-clock capture
 //     cost is reported alongside as ns/event — at this simulator's
@@ -281,32 +281,6 @@ void report() {
       "on/off), and lossless (decoded JSONL is byte-identical to a direct "
       "JSONL sink on the same run)");
 }
-
-void BM_EmitTransmitRecord(benchmark::State& state) {
-  telemetry::NullPageSink sink;
-  telemetry::BinaryStream stream(sink);
-  TimePs t = 0;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    t += 1250;
-    ++i;
-    stream.emit3(2, t, i & 0xFFFF, (i << 1) | 1, 800);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(i));
-}
-BENCHMARK(BM_EmitTransmitRecord);
-
-void BM_Fig18Capture(benchmark::State& state) {
-  const bool with_stream = state.range(0) != 0;
-  for (auto _ : state) {
-    telemetry::NullPageSink sink;
-    TaskExperimentParams params = fig18_params();
-    params.duration = milliseconds(2);
-    if (with_stream) params.telemetry.stream = &sink;
-    benchmark::DoNotOptimize(run_task_experiment(Fabric::kQuartzInJellyfish, {}, params));
-  }
-}
-BENCHMARK(BM_Fig18Capture)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,17 +1,18 @@
 // Shared scaffolding for the bench binaries.
 //
 // Every binary under bench/ regenerates one of the paper's tables or
-// figures: it first prints the reproduction (the same rows/series the
-// paper reports) and then runs its google-benchmark micro-measurements
-// of the underlying solver/simulator.
+// figures and checks the correctness bars that go with it: it prints
+// the reproduction (the same rows/series the paper reports) and
+// QUARTZ_CHECKs its acceptance bounds.  Speed is judged elsewhere, by
+// the bench/suite workloads against their committed baselines.
 //
 // Besides the console text, each binary emits a machine-readable
-// BENCH_<id>.json capturing the reproduction rows, telemetry rollups
-// (latency decompositions, metric registries, time-series buckets) and
-// the google-benchmark timings — one self-contained artifact per
-// figure.  See docs/observability.md for the schema.
+// BENCH_<id>.json capturing the reproduction rows and telemetry
+// rollups (latency decompositions, metric registries, time-series
+// buckets) — one self-contained artifact per figure.  See
+// docs/observability.md for the schema.
 //
-// Flags (consumed before google-benchmark sees argv):
+// Flags (anything else exits 1):
 //   --report-dir=<dir>   where BENCH_<id>.json is written (default ".")
 //   --no-report          skip writing the JSON artifact
 //   --jobs=<n>           worker threads for the binary's sweep loops
@@ -20,16 +21,16 @@
 //                        every value — jobs only changes wall-clock.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -54,38 +55,42 @@ class Report {
     return report;
   }
 
-  /// Strip report flags from argv (before benchmark::Initialize) and
-  /// remember the program name.  Returns false on a malformed flag.
-  bool parse_args(int* argc, char** argv) {
-    if (*argc > 0) {
+  /// Read the report flags and remember the program name.  Prints the
+  /// offending argument and returns false on an unknown or malformed one.
+  bool parse_args(int argc, char** argv) {
+    if (argc > 0) {
       program_ = argv[0];
       const std::size_t slash = program_.find_last_of('/');
       if (slash != std::string::npos) program_ = program_.substr(slash + 1);
     }
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strcmp(arg, "--no-report") == 0) {
-        enabled_ = false;
-      } else if (std::strncmp(arg, "--report-dir=", 13) == 0) {
-        directory_ = arg + 13;
-        if (directory_.empty()) {
-          std::fprintf(stderr, "--report-dir needs a value\n");
-          return false;
-        }
-      } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-        char* end = nullptr;
-        const long value = std::strtol(arg + 7, &end, 10);
-        if (end == arg + 7 || *end != '\0' || value < 0) {
-          std::fprintf(stderr, "--jobs needs a non-negative integer\n");
-          return false;
-        }
-        jobs_ = static_cast<int>(value);
-      } else {
-        argv[out++] = argv[i];
-      }
+    const Flags flags = Flags::parse(argc, argv);
+    bool ok = true;
+    for (const std::string& key : flags.unknown_keys({"report-dir", "no-report", "jobs"})) {
+      std::fprintf(stderr, "%s: unrecognized argument --%s\n", program_.c_str(), key.c_str());
+      ok = false;
     }
-    *argc = out;
+    for (const std::string& arg : flags.positional()) {
+      std::fprintf(stderr, "%s: unrecognized argument %s\n", program_.c_str(), arg.c_str());
+      ok = false;
+    }
+    if (!ok) return false;
+    enabled_ = !flags.get_bool("no-report");
+    directory_ = flags.get("report-dir", directory_);
+    if (directory_.empty()) {
+      std::fprintf(stderr, "--report-dir needs a value\n");
+      return false;
+    }
+    try {
+      const std::int64_t jobs = flags.get_int("jobs", jobs_);
+      if (jobs < 0 || jobs > INT_MAX) {
+        std::fprintf(stderr, "--jobs needs an integer in [0, %d]\n", INT_MAX);
+        return false;
+      }
+      jobs_ = static_cast<int>(jobs);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return false;
+    }
     return true;
   }
 
@@ -154,11 +159,6 @@ class Report {
   /// under "metrics" at write time; last call wins).
   void set_metrics(const telemetry::MetricRegistry* registry) { metrics_ = registry; }
 
-  void add_benchmark_timing(const std::string& name, double real_time, double cpu_time,
-                            const std::string& unit, std::int64_t iterations, bool errored) {
-    timings_.push_back({name, real_time, cpu_time, unit, iterations, errored});
-  }
-
   /// Write BENCH_<id>.json (no-op when --no-report or open() was never
   /// called).  Returns the path written, or "" when skipped.
   std::string write() const {
@@ -171,7 +171,7 @@ class Report {
     }
     telemetry::JsonWriter w(os, /*pretty=*/true);
     w.begin_object();
-    w.kv("schema", "quartz-bench-report/1");
+    w.kv("schema", "quartz-bench-report/2");
     w.kv("id", id_);
     w.kv("title", title_);
     w.kv("generated_by", program_);
@@ -192,18 +192,6 @@ class Report {
       w.key("metrics");
       metrics_->write_json(w);
     }
-    w.key("benchmarks").begin_array();
-    for (const Timing& t : timings_) {
-      w.begin_object();
-      w.kv("name", t.name);
-      w.kv("real_time", t.real_time);
-      w.kv("cpu_time", t.cpu_time);
-      w.kv("time_unit", t.unit);
-      w.kv("iterations", t.iterations);
-      w.kv("error", t.errored);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
     os << '\n';
     std::printf("\nreport: %s\n", path.c_str());
@@ -214,14 +202,6 @@ class Report {
   struct Section {
     std::string name;
     std::vector<telemetry::JsonRow> rows;
-  };
-  struct Timing {
-    std::string name;
-    double real_time;
-    double cpu_time;
-    std::string unit;
-    std::int64_t iterations;
-    bool errored;
   };
 
   Section& section_named(const std::string& name) {
@@ -250,39 +230,20 @@ class Report {
   std::vector<std::string> notes_;
   std::vector<Section> sections_;
   const telemetry::MetricRegistry* metrics_ = nullptr;
-  std::vector<Timing> timings_;
-};
-
-/// Prints to the console exactly like the default reporter while also
-/// capturing each run's timings into the Report.
-class TimingCollector : public ::benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      Report::instance().add_benchmark_timing(
-          run.benchmark_name(), run.GetAdjustedRealTime(), run.GetAdjustedCPUTime(),
-          ::benchmark::GetTimeUnitString(run.time_unit), run.iterations, run.error_occurred);
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
 };
 
 inline void print_note(const std::string& note) { Report::instance().note(note); }
 
-/// Standard main body: report first, micro-benchmarks second, then the
-/// BENCH_<id>.json artifact.
-#define QUARTZ_BENCH_MAIN(report_fn)                                     \
-  int main(int argc, char** argv) {                                      \
-    if (!::quartz::bench::Report::instance().parse_args(&argc, argv)) {  \
-      return 1;                                                          \
-    }                                                                    \
-    ::benchmark::Initialize(&argc, argv);                                \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;  \
-    report_fn();                                                         \
-    ::quartz::bench::TimingCollector collector;                          \
-    ::benchmark::RunSpecifiedBenchmarks(&collector);                     \
-    ::quartz::bench::Report::instance().write();                         \
-    return 0;                                                            \
+/// Standard main body: parse the report flags, run the reproduction,
+/// then write the BENCH_<id>.json artifact.
+#define QUARTZ_BENCH_MAIN(report_fn)                                    \
+  int main(int argc, char** argv) {                                     \
+    if (!::quartz::bench::Report::instance().parse_args(argc, argv)) {  \
+      return 1;                                                         \
+    }                                                                   \
+    report_fn();                                                        \
+    ::quartz::bench::Report::instance().write();                        \
+    return 0;                                                           \
   }
 
 }  // namespace quartz::bench

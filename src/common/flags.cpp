@@ -1,6 +1,8 @@
 #include "common/flags.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -37,8 +39,9 @@ std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  QUARTZ_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty(),
+  QUARTZ_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty() && errno != ERANGE,
                  "flag --" + key + " expects an integer, got '" + it->second + "'");
   return v;
 }
@@ -47,8 +50,10 @@ double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  QUARTZ_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty(),
+  QUARTZ_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty() && errno != ERANGE &&
+                     std::isfinite(v),
                  "flag --" + key + " expects a number, got '" + it->second + "'");
   return v;
 }

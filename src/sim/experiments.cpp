@@ -170,7 +170,6 @@ TaskExperimentResult run_task_experiment(Fabric fabric, const FabricConfig& conf
   if (params.telemetry.trace) {
     telemetry::PacketTracer::Options trace_options;
     trace_options.sample_every = params.telemetry.trace_sample_every;
-    trace_options.keep_traces = params.telemetry.keep_traces;
     tracer = std::make_unique<telemetry::PacketTracer>(trace_options);
     network.add_sink(tracer.get());
   }
@@ -178,7 +177,6 @@ TaskExperimentResult run_task_experiment(Fabric fabric, const FabricConfig& conf
   if (params.telemetry.sample_bucket > 0) {
     telemetry::PeriodicSampler::Options sampler_options;
     sampler_options.bucket = params.telemetry.sample_bucket;
-    sampler_options.top_k = params.telemetry.top_k;
     sampler = std::make_unique<telemetry::PeriodicSampler>(sampler_options);
     network.add_sink(sampler.get());
   }

@@ -100,13 +100,9 @@ struct TaskTelemetryOptions {
   /// Trace every Nth packet (1 = all); rollups stay unbiased because
   /// packet ids are assigned in send order.
   std::uint32_t trace_sample_every = 1;
-  /// Retain the full per-hop journey of this many packets.
-  std::size_t keep_traces = 0;
   /// > 0: attach a PeriodicSampler with this bucket width and report
   /// the time-series in TaskExperimentResult::timeline.
   TimePs sample_bucket = 0;
-  /// Hottest lightpath directions reported per bucket.
-  int top_k = 4;
   /// If set, the run publishes simulator counters and the measured
   /// latency distribution into this registry under "sim." / "task.".
   telemetry::MetricRegistry* metrics = nullptr;

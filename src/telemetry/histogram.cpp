@@ -101,92 +101,4 @@ void StreamingHistogram::merge(const StreamingHistogram& other) {
   sum_ += other.sum_;
 }
 
-P2Quantile::P2Quantile(double quantile) : q_(quantile) {
-  QUARTZ_REQUIRE(quantile > 0.0 && quantile < 1.0, "quantile must be in (0, 1)");
-  desired_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-  increments_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-}
-
-double P2Quantile::parabolic(int i, double d) const {
-  const auto& h = heights_;
-  const auto& n = positions_;
-  return h[static_cast<std::size_t>(i)] +
-         d / (n[static_cast<std::size_t>(i + 1)] - n[static_cast<std::size_t>(i - 1)]) *
-             ((n[static_cast<std::size_t>(i)] - n[static_cast<std::size_t>(i - 1)] + d) *
-                  (h[static_cast<std::size_t>(i + 1)] - h[static_cast<std::size_t>(i)]) /
-                  (n[static_cast<std::size_t>(i + 1)] - n[static_cast<std::size_t>(i)]) +
-              (n[static_cast<std::size_t>(i + 1)] - n[static_cast<std::size_t>(i)] - d) *
-                  (h[static_cast<std::size_t>(i)] - h[static_cast<std::size_t>(i - 1)]) /
-                  (n[static_cast<std::size_t>(i)] - n[static_cast<std::size_t>(i - 1)]));
-}
-
-double P2Quantile::linear(int i, double d) const {
-  const auto& h = heights_;
-  const auto& n = positions_;
-  const int j = i + static_cast<int>(d);
-  return h[static_cast<std::size_t>(i)] +
-         d * (h[static_cast<std::size_t>(j)] - h[static_cast<std::size_t>(i)]) /
-             (n[static_cast<std::size_t>(j)] - n[static_cast<std::size_t>(i)]);
-}
-
-void P2Quantile::add(double value) {
-  if (count_ < 5) {
-    heights_[count_] = value;
-    ++count_;
-    if (count_ == 5) {
-      std::sort(heights_.begin(), heights_.end());
-      for (int i = 0; i < 5; ++i) positions_[static_cast<std::size_t>(i)] = i + 1;
-    }
-    return;
-  }
-
-  int cell;
-  if (value < heights_[0]) {
-    heights_[0] = value;
-    cell = 0;
-  } else if (value >= heights_[4]) {
-    heights_[4] = value;
-    cell = 3;
-  } else {
-    cell = 0;
-    while (cell < 3 && value >= heights_[static_cast<std::size_t>(cell + 1)]) ++cell;
-  }
-
-  for (int i = cell + 1; i < 5; ++i) positions_[static_cast<std::size_t>(i)] += 1.0;
-  for (int i = 0; i < 5; ++i) {
-    desired_[static_cast<std::size_t>(i)] += increments_[static_cast<std::size_t>(i)];
-  }
-
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[static_cast<std::size_t>(i)] - positions_[static_cast<std::size_t>(i)];
-    const double right =
-        positions_[static_cast<std::size_t>(i + 1)] - positions_[static_cast<std::size_t>(i)];
-    const double left =
-        positions_[static_cast<std::size_t>(i - 1)] - positions_[static_cast<std::size_t>(i)];
-    if ((d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0)) {
-      const double step = d >= 1.0 ? 1.0 : -1.0;
-      double candidate = parabolic(i, step);
-      if (candidate <= heights_[static_cast<std::size_t>(i - 1)] ||
-          candidate >= heights_[static_cast<std::size_t>(i + 1)]) {
-        candidate = linear(i, step);
-      }
-      heights_[static_cast<std::size_t>(i)] = candidate;
-      positions_[static_cast<std::size_t>(i)] += step;
-    }
-  }
-  ++count_;
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact small-sample quantile over the sorted prefix.
-    std::array<double, 5> sorted = heights_;
-    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(count_));
-    const auto rank = static_cast<std::size_t>(q_ * static_cast<double>(count_ - 1) + 0.5);
-    return sorted[std::min(rank, static_cast<std::size_t>(count_ - 1))];
-  }
-  return heights_[2];
-}
-
 }  // namespace quartz::telemetry

@@ -6,11 +6,6 @@
 // while memory stays a fixed ~8 KiB regardless of how many samples are
 // added.  Exact count, sum, min and max are tracked on the side, so
 // mean is exact and quantiles are clamped into [min, max].
-//
-// P2Quantile is the classic P² single-quantile estimator (Jain &
-// Chlamtac, CACM 1985): five markers, O(1) memory, no buckets at all —
-// the right tool when only one quantile of an unbounded stream is
-// needed and a histogram's bucket grid is too coarse.
 #pragma once
 
 #include <array>
@@ -66,30 +61,6 @@ class StreamingHistogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// P² estimator for one pre-chosen quantile of an unbounded stream.
-class P2Quantile {
- public:
-  /// `quantile` in (0, 1), e.g. 0.99 for p99.
-  explicit P2Quantile(double quantile);
-
-  void add(double value);
-  /// Current estimate (exact while fewer than five samples).
-  double value() const;
-  std::uint64_t count() const { return count_; }
-  double quantile() const { return q_; }
-
- private:
-  double parabolic(int i, double d) const;
-  double linear(int i, double d) const;
-
-  double q_;
-  std::uint64_t count_ = 0;
-  std::array<double, 5> heights_{};
-  std::array<double, 5> positions_{};
-  std::array<double, 5> desired_{};
-  std::array<double, 5> increments_{};
 };
 
 }  // namespace quartz::telemetry

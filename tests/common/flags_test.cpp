@@ -53,9 +53,18 @@ TEST(Flags, PositionalArgumentsPreserved) {
 }
 
 TEST(Flags, RejectsJunkNumbers) {
-  const Flags f = parse({"--tasks=eight", "--rate=fast"});
+  const Flags f = parse({"--tasks=eight", "--rate=fast", "--n=99999999999999999999",
+                         "--m=-99999999999999999999", "--d=1e999", "--tiny=1e-999",
+                         "--inf=inf", "--nan=nan"});
   EXPECT_THROW(f.get_int("tasks", 0), std::invalid_argument);
   EXPECT_THROW(f.get_double("rate", 0.0), std::invalid_argument);
+  // Out-of-range and non-finite values must not saturate silently.
+  EXPECT_THROW(f.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_int("m", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("d", 0.0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("tiny", 0.0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("inf", 0.0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("nan", 0.0), std::invalid_argument);
 }
 
 TEST(Flags, KeysEnumerated) {

@@ -2,12 +2,13 @@
 // counting operator-new hook (which is why this suite lives in its own
 // test binary: the hook is global to the process).
 //
-//  * warm RoutingOracle::next_link calls with a FailureView, dead links
-//    and lossy links — the deflection scan, healing detours and VLB
-//    intermediate picks included — allocate nothing, on all four
-//    forwarding oracles;
-//  * a warm Fib under epoch churn allocates nothing once its arenas and
-//    compile buffers have reached their high-water mark;
+//  * warm RoutingOracle::next_link calls with a FailureView allocate
+//    nothing, on all four forwarding oracles, both on a healthy ring
+//    and with dead and lossy links — the deflection scan, healing
+//    detours and VLB intermediate picks included;
+//  * a warm Fib allocates nothing, both in a healthy steady state and
+//    under epoch churn once its arenas and compile buffers have reached
+//    their high-water mark;
 //  * a chaos storm, whose shards route every hop through the oracle
 //    slow path, stays well under 0.1 run-phase allocations per
 //    delivered packet at one and two shards.
@@ -171,20 +172,47 @@ struct Oracles {
 };
 
 TEST(RoutingAllocation, WarmOracleSlowPathIsAllocationFree) {
-  RingFixture f;
-  f.degrade();
-  Oracles oracles(f);
-  for (RoutingOracle* oracle : oracles.all()) {
-    const auto decide = [oracle](NodeId node, FlowKey& key) { return oracle->next_link(node, key); };
-    walk_all(f, decide);  // warm up
-    const std::uint64_t before = alloc_count();
-    const WalkTotals totals = walk_all(f, decide);
-    EXPECT_EQ(alloc_count() - before, 0u) << typeid(*oracle).name();
-    EXPECT_GT(totals.detours, 0u) << "the failures never reached the detour pickers";
+  for (const bool degraded : {false, true}) {
+    RingFixture f;
+    if (degraded) f.degrade();
+    Oracles oracles(f);
+    for (RoutingOracle* oracle : oracles.all()) {
+      const auto decide = [oracle](NodeId node, FlowKey& key) {
+        return oracle->next_link(node, key);
+      };
+      walk_all(f, decide);  // warm up
+      const std::uint64_t before = alloc_count();
+      const WalkTotals totals = walk_all(f, decide);
+      EXPECT_EQ(alloc_count() - before, 0u)
+          << typeid(*oracle).name() << (degraded ? " (degraded)" : " (healthy)");
+      EXPECT_GT(totals.decisions, 0u);
+      if (degraded) {
+        EXPECT_GT(totals.detours, 0u) << "the failures never reached the detour pickers";
+      }
+    }
   }
 }
 
 TEST(RoutingAllocation, WarmFibUnderEpochChurnIsAllocationFree) {
+  {
+    // Healthy steady state first: once warm, every walk is served from
+    // compiled entries without a recompile or an allocation.
+    RingFixture healthy;
+    Oracles oracles(healthy);
+    for (RoutingOracle* oracle : oracles.all()) {
+      Fib fib(*healthy.routing, *oracle);
+      const auto decide = [&fib](NodeId node, FlowKey& key) { return fib.next_link(node, key); };
+      walk_all(healthy, decide);  // compiles every entry the flows touch
+      fib.reset_stats();
+      const std::uint64_t before = alloc_count();
+      const WalkTotals totals = walk_all(healthy, decide);
+      EXPECT_EQ(alloc_count() - before, 0u) << typeid(*oracle).name() << " (healthy)";
+      EXPECT_GT(totals.decisions, 0u);
+      EXPECT_EQ(fib.stats().misses, 0u) << typeid(*oracle).name();
+      EXPECT_EQ(fib.stats().invalidations, 0u) << typeid(*oracle).name();
+    }
+  }
+
   RingFixture f;
   f.degrade();
   Oracles oracles(f);

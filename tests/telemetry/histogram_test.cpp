@@ -119,37 +119,5 @@ TEST(StreamingHistogram, BucketIndexIsMonotone) {
   }
 }
 
-TEST(P2Quantile, ExactBelowFiveSamples) {
-  P2Quantile p50(0.5);
-  p50.add(10.0);
-  EXPECT_DOUBLE_EQ(p50.value(), 10.0);
-  p50.add(20.0);
-  p50.add(30.0);
-  EXPECT_DOUBLE_EQ(p50.value(), 20.0);
-}
-
-TEST(P2Quantile, ConvergesOnUniformStream) {
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> dist(0.0, 100.0);
-  P2Quantile p90(0.9);
-  for (int i = 0; i < 50000; ++i) p90.add(dist(rng));
-  EXPECT_NEAR(p90.value(), 90.0, 2.0);
-}
-
-TEST(P2Quantile, TracksTailQuantile) {
-  std::mt19937_64 rng(13);
-  std::exponential_distribution<double> dist(1.0);
-  P2Quantile p99(0.99);
-  std::vector<double> samples;
-  for (int i = 0; i < 100000; ++i) {
-    const double v = dist(rng);
-    p99.add(v);
-    samples.push_back(v);
-  }
-  std::sort(samples.begin(), samples.end());
-  const double exact = samples[static_cast<std::size_t>(0.99 * (samples.size() - 1))];
-  EXPECT_NEAR(p99.value(), exact, exact * 0.1);
-}
-
 }  // namespace
 }  // namespace quartz::telemetry
