@@ -76,14 +76,7 @@ double RunningStats::confidence_half_width(double level) const {
 
 void SampleSet::add(double x) {
   samples_.push_back(x);
-  sorted_valid_ = false;
-}
-
-void SampleSet::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_ = samples_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
+  partitioned_valid_ = false;
 }
 
 double SampleSet::mean() const {
@@ -102,27 +95,34 @@ double SampleSet::stddev() const {
 }
 
 double SampleSet::min() const {
-  ensure_sorted();
-  QUARTZ_CHECK(!sorted_.empty(), "min of empty SampleSet");
-  return sorted_.front();
+  QUARTZ_CHECK(!samples_.empty(), "min of empty SampleSet");
+  return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double SampleSet::max() const {
-  ensure_sorted();
-  QUARTZ_CHECK(!sorted_.empty(), "max of empty SampleSet");
-  return sorted_.back();
+  QUARTZ_CHECK(!samples_.empty(), "max of empty SampleSet");
+  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 double SampleSet::percentile(double p) const {
   QUARTZ_REQUIRE(p >= 0.0 && p <= 100.0, "percentile out of range");
-  ensure_sorted();
-  QUARTZ_CHECK(!sorted_.empty(), "percentile of empty SampleSet");
-  if (sorted_.size() == 1) return sorted_.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
+  QUARTZ_CHECK(!samples_.empty(), "percentile of empty SampleSet");
+  if (samples_.size() == 1) return samples_.front();
+  if (!partitioned_valid_) {
+    partitioned_.assign(samples_.begin(), samples_.end());
+    partitioned_valid_ = true;
+  }
+  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  // Order statistic lo lands at `nth`; everything after it is no
+  // smaller, so statistic lo+1 is the least of that tail.
+  const auto nth = partitioned_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(partitioned_.begin(), nth, partitioned_.end());
+  const double lo_value = *nth;
+  const double hi_value =
+      lo + 1 < partitioned_.size() ? *std::min_element(nth + 1, partitioned_.end()) : lo_value;
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double SampleSet::confidence_half_width(double level) const {

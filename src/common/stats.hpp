@@ -45,6 +45,12 @@ class SampleSet {
  public:
   void add(double x);
   void reserve(std::size_t n) { samples_.reserve(n); }
+  /// Drop every sample but keep the capacity, so a set refilled over
+  /// and over (one SLO window after another) stops allocating.
+  void clear() {
+    samples_.clear();
+    partitioned_valid_ = false;
+  }
 
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
@@ -52,27 +58,29 @@ class SampleSet {
   double stddev() const;
   double min() const;
   double max() const;
-  /// Exact percentile via nearest-rank on the sorted samples; p in [0,100].
+  /// Exact percentile, p in [0,100]: linear interpolation between the
+  /// two order statistics around rank p/100 * (n-1).  Selects them in
+  /// O(n) rather than sorting.
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
   double confidence_half_width(double level = 0.95) const;
 
   const std::vector<double>& samples() const { return samples_; }
 
-  /// Replace the retained samples wholesale (checkpoint restore);
-  /// invalidates the sorted cache.
+  /// Replace the retained samples wholesale (checkpoint restore).
   void assign(std::vector<double> samples) {
     samples_ = std::move(samples);
-    sorted_.clear();
-    sorted_valid_ = false;
+    partitioned_valid_ = false;
   }
 
  private:
-  void ensure_sorted() const;
-
   std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  // A copy of samples_ that percentile() partially orders in place with
+  // std::nth_element; each selection leaves it partitioned, so later
+  // queries on the same samples start closer to done.  add(), clear()
+  // and assign() invalidate it.
+  mutable std::vector<double> partitioned_;
+  mutable bool partitioned_valid_ = false;
 };
 
 /// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/crc32.hpp"
+
 namespace quartz::snapshot {
 namespace {
 
@@ -57,19 +59,6 @@ void store_u64(std::byte* p, std::uint64_t v) {
   }
 }
 
-struct Crc32Table {
-  std::uint32_t entry[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      entry[i] = c;
-    }
-  }
-};
-
 /// Validate the chunk walk of a complete snapshot byte stream
 /// (header already stripped).  Returns false with a reason on any
 /// structural damage.
@@ -112,16 +101,6 @@ bool validate_chunks(const std::vector<std::byte>& data, std::size_t start,
 }
 
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
-  static const Crc32Table table;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    c = table.entry[(c ^ p[i]) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 // --- Writer -----------------------------------------------------------------
 

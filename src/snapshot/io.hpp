@@ -52,11 +52,6 @@ constexpr std::uint32_t chunk_id(const char (&tag)[5]) {
 
 inline constexpr std::uint32_t kEndChunk = chunk_id("END ");
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte range.  Identical
-/// polynomial to telemetry::crc32; duplicated here so the snapshot
-/// layer sits below every library that snapshots itself.
-std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed = 0);
-
 /// Serializes one snapshot into a growing byte buffer.  All multi-byte
 /// values are little-endian; every primitive must be written inside an
 /// open chunk.

@@ -3,57 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <bit>
-#include <cstring>
+#include "common/crc32.hpp"
 
 namespace quartz::telemetry {
-
-namespace {
-
-// Slicing-by-8 tables: table[0] is the classic byte-wise table, the
-// other seven advance a byte through k more zero bytes, letting the
-// hot loop fold eight bytes per iteration (~8x over byte-at-a-time —
-// page sealing CRCs 64 KiB at a time, so this matters).
-struct Crc32Table {
-  std::uint32_t entries[8][256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      entries[0][i] = c;
-    }
-    for (int k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        const std::uint32_t prev = entries[k - 1][i];
-        entries[k][i] = entries[0][prev & 0xFFu] ^ (prev >> 8);
-      }
-    }
-  }
-};
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
-  static const Crc32Table table;
-  const auto& t = table.entries;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  if constexpr (std::endian::native == std::endian::little) {
-    while (bytes >= 8) {
-      std::uint32_t lo, hi;
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-      lo ^= c;
-      c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-      p += 8;
-      bytes -= 8;
-    }
-  }
-  for (std::size_t i = 0; i < bytes; ++i) c = t[0][(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
 
 // --- StreamFile -------------------------------------------------------------
 

@@ -45,9 +45,6 @@ inline constexpr std::array<char, 8> kStreamFileMagic = {'Q', 'T', 'Z', 'S',
 inline constexpr std::uint32_t kPageMagic = 0x47505A51u;  // "QZPG"
 inline constexpr std::size_t kPageBytes = 64 * 1024;
 
-/// CRC-32 (IEEE 802.3, reflected), for page payload integrity.
-std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed = 0);
-
 inline std::uint64_t zigzag_encode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
 }
@@ -69,7 +66,7 @@ struct PageHeader {
   std::uint64_t first_record_seq = 0;  ///< seq of the page's first record
   std::int64_t base_time_ps = 0;       ///< delta base for the first record
   std::uint32_t payload_bytes = 0;
-  std::uint32_t crc = 0;  ///< crc32 of the payload bytes
+  std::uint32_t crc = 0;  ///< quartz::crc32 of the payload bytes
 };
 #pragma pack(pop)
 

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/crc32.hpp"
 #include "sim/packet.hpp"
 #include "telemetry/binary_stream.hpp"
 #include "telemetry/stream_sink.hpp"

@@ -54,9 +54,9 @@ void StreamingHistogram::add(double value, std::uint64_t weight) {
 double StreamingHistogram::percentile(double p) const {
   QUARTZ_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
   if (count_ == 0) return 0.0;
-  // Target rank matching SampleSet::percentile's nearest-rank flavour:
-  // the smallest value with at least ceil(p/100 * n) samples at or
-  // below it.
+  // Nearest-rank target (SampleSet::percentile instead interpolates
+  // between ranks): the smallest value with at least ceil(p/100 * n)
+  // samples at or below it.
   const double want = p / 100.0 * static_cast<double>(count_);
   std::uint64_t target = static_cast<std::uint64_t>(std::ceil(want));
   if (target == 0) target = 1;

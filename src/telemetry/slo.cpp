@@ -46,7 +46,7 @@ const SloWindow& SloTracker::roll(TimePs now) {
   }
 
   window_start_ = now;
-  window_samples_ = SampleSet();
+  window_samples_.clear();
   window_in_deadline_ = 0;
   return last_;
 }

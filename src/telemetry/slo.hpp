@@ -10,8 +10,10 @@
 // rather than a blip.
 //
 // Thread-confined like the rest of the simulation; samples are exact
-// (nearest-rank percentiles over the retained window), which is fine
-// at simulated request rates.
+// (percentiles interpolate linearly between the two closest ranks of
+// the retained window), which is fine at simulated request rates.
+// Closing a window keeps its sample buffer's capacity, so a warm
+// tracker's roll() allocates nothing.
 #pragma once
 
 #include <cstdint>

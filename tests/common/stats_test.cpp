@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -145,9 +147,57 @@ TEST(SampleSet, SortCacheInvalidatedByAdd) {
   s.add(5.0);
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
   s.add(9.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);  // must not return the stale sorted view
+  EXPECT_DOUBLE_EQ(s.max(), 9.0);
+  EXPECT_DOUBLE_EQ(s.percentile(100.0), 9.0);  // caches the partitioned copy
+  s.add(11.0);
+  EXPECT_DOUBLE_EQ(s.percentile(100.0), 11.0);  // must not reuse the stale copy
   s.add(1.0);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  s.add(4.0);
+  EXPECT_DOUBLE_EQ(s.percentile(100.0), 4.0);
+}
+
+// The interpolated percentile of a full sort: what percentile() must
+// reproduce bit for bit without sorting.
+double sorted_percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  if (v.size() == 1) return v.front();
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(SampleSet, SelectionMatchesSortedReferenceWithDuplicates) {
+  Rng rng(11);
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 1000u}) {
+    SampleSet s;
+    std::vector<double> reference;
+    // Few distinct values, so most samples tie with others.
+    auto draw = [&] {
+      const double x = 0.25 * static_cast<double>(rng.next_below(n / 4 + 2));
+      s.add(x);
+      reference.push_back(x);
+    };
+    for (std::size_t i = 0; i < n; ++i) draw();
+    for (int round = 0; round < 3; ++round) {
+      for (const double p : {0.0, 0.1, 50.0, 99.0, 99.9, 100.0}) {
+        EXPECT_EQ(s.percentile(p), sorted_percentile(reference, p))
+            << "n " << reference.size() << " p " << p;
+        // Queries in a row reuse the partitioned copy; an add between
+        // them must invalidate it.
+        if (p == 50.0) draw();
+      }
+      EXPECT_EQ(s.median(), sorted_percentile(reference, 50.0));
+      EXPECT_EQ(s.min(), *std::min_element(reference.begin(), reference.end()));
+      EXPECT_EQ(s.max(), *std::max_element(reference.begin(), reference.end()));
+      draw();
+    }
+  }
 }
 
 TEST(Histogram, BinsAndClamping) {

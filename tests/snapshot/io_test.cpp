@@ -9,6 +9,8 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/crc32.hpp"
+
 namespace quartz::snapshot {
 namespace {
 
