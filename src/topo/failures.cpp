@@ -115,30 +115,6 @@ bool link_severed(const RingSurgery& surgery, const Link& link) {
   return surgery.severed[static_cast<std::size_t>(ra)].contains({key.first, key.second});
 }
 
-int count_components(const Graph& graph) {
-  if (graph.node_count() == 0) return 0;
-  std::vector<char> seen(graph.node_count(), 0);
-  int components = 0;
-  std::vector<NodeId> stack;
-  for (const auto& start : graph.nodes()) {
-    if (seen[static_cast<std::size_t>(start.id)]) continue;
-    ++components;
-    seen[static_cast<std::size_t>(start.id)] = 1;
-    stack.push_back(start.id);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (const auto& adj : graph.neighbors(u)) {
-        if (!seen[static_cast<std::size_t>(adj.peer)]) {
-          seen[static_cast<std::size_t>(adj.peer)] = 1;
-          stack.push_back(adj.peer);
-        }
-      }
-    }
-  }
-  return components;
-}
-
 }  // namespace
 
 std::vector<std::pair<NodeId, NodeId>> severed_lightpaths(const BuiltTopology& topo,
@@ -212,7 +188,7 @@ SurvivalOutcome try_survive_fiber_cuts(const BuiltTopology& topo,
   survivor.quartz_rings = topo.quartz_rings;
   survivor.host_groups = topo.host_groups;
   survivor.composite = topo.composite;
-  outcome.components = count_components(graph);
+  outcome.components = static_cast<int>(graph.component_count());
   outcome.partitioned = outcome.components > 1;
   return outcome;
 }

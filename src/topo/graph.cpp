@@ -1,7 +1,7 @@
 #include "topo/graph.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
 
 #include "common/check.hpp"
 
@@ -17,7 +17,8 @@ int Graph::add_model(const SwitchModel& model) {
 NodeId Graph::add_host(std::string label, int rack) {
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(Node{id, NodeKind::kHost, -1, rack, std::move(label)});
-  adjacency_.emplace_back();
+  degrees_.push_back(0);
+  adjacency_.invalidate();
   return id;
 }
 
@@ -26,7 +27,8 @@ NodeId Graph::add_switch(int model_index, std::string label, int rack) {
                  "unknown switch model");
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(Node{id, NodeKind::kSwitch, model_index, rack, std::move(label)});
-  adjacency_.emplace_back();
+  degrees_.push_back(0);
+  adjacency_.invalidate();
   return id;
 }
 
@@ -39,14 +41,15 @@ LinkId Graph::add_link(NodeId a, NodeId b, BitsPerSecond rate, TimePs propagatio
   QUARTZ_REQUIRE(propagation >= 0, "propagation cannot be negative");
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(Link{id, a, b, rate, propagation, wdm_ring, wdm_channel});
-  adjacency_[static_cast<std::size_t>(a)].push_back(Adjacency{id, b});
-  adjacency_[static_cast<std::size_t>(b)].push_back(Adjacency{id, a});
+  ++degrees_[static_cast<std::size_t>(a)];
+  ++degrees_[static_cast<std::size_t>(b)];
+  adjacency_.invalidate();
   return id;
 }
 
 void Graph::reserve(std::size_t nodes, std::size_t links) {
   nodes_.reserve(nodes);
-  adjacency_.reserve(nodes);
+  degrees_.reserve(nodes);
   links_.reserve(links);
 }
 
@@ -69,18 +72,14 @@ SpliceExtent Graph::splice(const Graph& child, std::span<const int> model_map, i
     nodes_.push_back(Node{node_base + n.id, n.kind, model, n.rack < 0 ? -1 : rack_offset + n.rack,
                           n.label});
     extent.racks = std::max(extent.racks, n.rack + 1);
-    const auto& from = child.adjacency_[static_cast<std::size_t>(n.id)];
-    auto& to = adjacency_.emplace_back();
-    to.reserve(from.size());
-    for (const Adjacency& adj : from) {
-      to.push_back(Adjacency{link_base + adj.link, node_base + adj.peer});
-    }
   }
+  degrees_.insert(degrees_.end(), child.degrees_.begin(), child.degrees_.end());
   for (const Link& l : child.links_) {
     links_.push_back(Link{link_base + l.id, node_base + l.a, node_base + l.b, l.rate, l.propagation,
                           l.wdm_ring < 0 ? -1 : wdm_ring_offset + l.wdm_ring, l.wdm_channel});
     extent.wdm_rings = std::max(extent.wdm_rings, l.wdm_ring + 1);
   }
+  adjacency_.invalidate();
   return extent;
 }
 
@@ -102,7 +101,56 @@ const SwitchModel& Graph::model_of(NodeId id) const {
 
 std::span<const Adjacency> Graph::neighbors(NodeId id) const {
   QUARTZ_REQUIRE(id >= 0 && id < static_cast<NodeId>(nodes_.size()), "node id out of range");
-  return adjacency_[static_cast<std::size_t>(id)];
+  return adjacency_.row(static_cast<std::size_t>(id), degrees_, links_);
+}
+
+std::size_t Graph::degree(NodeId id) const {
+  QUARTZ_REQUIRE(id >= 0 && id < static_cast<NodeId>(nodes_.size()), "node id out of range");
+  return degrees_[static_cast<std::size_t>(id)];
+}
+
+Graph::AdjacencyIndex& Graph::AdjacencyIndex::operator=(const AdjacencyIndex&) {
+  invalidate();
+  return *this;
+}
+
+Graph::AdjacencyIndex::AdjacencyIndex(AdjacencyIndex&& other) noexcept
+    : offsets_(std::move(other.offsets_)),
+      entries_(std::move(other.entries_)),
+      fresh_(other.fresh_.load(std::memory_order_relaxed)) {
+  other.invalidate();
+}
+
+Graph::AdjacencyIndex& Graph::AdjacencyIndex::operator=(AdjacencyIndex&& other) noexcept {
+  offsets_ = std::move(other.offsets_);
+  entries_ = std::move(other.entries_);
+  fresh_.store(other.fresh_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  other.invalidate();
+  return *this;
+}
+
+std::span<const Adjacency> Graph::AdjacencyIndex::row(std::size_t id,
+                                                      const std::vector<std::size_t>& degrees,
+                                                      const std::vector<Link>& links) const {
+  if (!fresh_.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(build_);
+    if (!fresh_.load(std::memory_order_relaxed)) {
+      // Rows are sized by the kept degrees; filling them from the links
+      // in id order leaves each row in increasing link id.
+      offsets_.resize(degrees.size() + 1);
+      offsets_[0] = 0;
+      std::partial_sum(degrees.begin(), degrees.end(), offsets_.begin() + 1);
+      entries_.resize(offsets_.back());
+      std::vector<std::size_t> fill(offsets_.begin(), offsets_.end() - 1);
+      for (const Link& l : links) {
+        entries_[fill[static_cast<std::size_t>(l.a)]++] = Adjacency{l.id, l.b};
+        entries_[fill[static_cast<std::size_t>(l.b)]++] = Adjacency{l.id, l.a};
+      }
+      fresh_.store(true, std::memory_order_release);
+    }
+  }
+  const Adjacency* base = entries_.data();
+  return {base + offsets_[id], base + offsets_[id + 1]};
 }
 
 std::vector<NodeId> Graph::hosts() const {
@@ -125,7 +173,7 @@ void Graph::validate() const {
   QUARTZ_CHECK(!nodes_.empty(), "graph is empty");
 
   for (const auto& n : nodes_) {
-    const std::size_t deg = adjacency_[static_cast<std::size_t>(n.id)].size();
+    const std::size_t deg = degrees_[static_cast<std::size_t>(n.id)];
     if (n.kind == NodeKind::kSwitch) {
       const auto& model = models_[static_cast<std::size_t>(n.model)];
       QUARTZ_CHECK(deg <= static_cast<std::size_t>(model.port_count),
@@ -135,23 +183,30 @@ void Graph::validate() const {
     }
   }
 
-  // Connectivity by BFS from node 0.
-  std::vector<bool> seen(nodes_.size(), false);
-  std::deque<NodeId> queue{0};
-  seen[0] = true;
-  std::size_t visited = 1;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (const auto& adj : adjacency_[static_cast<std::size_t>(u)]) {
-      if (!seen[static_cast<std::size_t>(adj.peer)]) {
-        seen[static_cast<std::size_t>(adj.peer)] = true;
-        ++visited;
-        queue.push_back(adj.peer);
-      }
+  QUARTZ_CHECK(component_count() == 1, "graph is disconnected");
+}
+
+std::size_t Graph::component_count() const {
+  std::vector<NodeId> parent(nodes_.size());
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto root = [&parent](NodeId v) {
+    while (parent[static_cast<std::size_t>(v)] != v) {
+      // Path halving: point v at its grandparent as we climb.
+      auto& up = parent[static_cast<std::size_t>(v)];
+      up = parent[static_cast<std::size_t>(up)];
+      v = up;
     }
+    return v;
+  };
+  std::size_t components = nodes_.size();
+  for (const Link& l : links_) {
+    const NodeId ra = root(l.a);
+    const NodeId rb = root(l.b);
+    if (ra == rb) continue;
+    parent[static_cast<std::size_t>(std::max(ra, rb))] = std::min(ra, rb);
+    --components;
   }
-  QUARTZ_CHECK(visited == nodes_.size(), "graph is disconnected");
+  return components;
 }
 
 }  // namespace quartz::topo

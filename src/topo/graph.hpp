@@ -7,7 +7,9 @@
 // map fiber cuts back to logical mesh edges.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,9 +80,9 @@ class Graph {
 
   /// Appends all of `child` in one pass: node ids shift by node_count(),
   /// link ids by link_count(), child model i becomes model_map[i], and
-  /// racks / WDM rings shift by the given offsets (-1 stays -1).  Each
-  /// adjacency list keeps the child's order, which is the order
-  /// replaying the child's add_link calls would produce.
+  /// racks / WDM rings shift by the given offsets (-1 stays -1).  Only
+  /// nodes and links are copied; adjacency is derived from links_, so
+  /// the result equals replaying the child's add_link calls.
   SpliceExtent splice(const Graph& child, std::span<const int> model_map, int rack_offset,
                       int wdm_ring_offset);
 
@@ -94,9 +96,12 @@ class Graph {
   /// Registered switch-model table (indexable by Node::model).
   const std::vector<SwitchModel>& models() const { return models_; }
 
+  /// A node's incident links in increasing link id, each with its peer.
+  /// The first read after a mutation builds the adjacency index; the
+  /// span stays valid until the next mutation.
   std::span<const Adjacency> neighbors(NodeId id) const;
-  /// Ports in use on a node (its degree).
-  std::size_t degree(NodeId id) const { return adjacency_[static_cast<std::size_t>(id)].size(); }
+  /// Ports in use on a node (its degree); needs no adjacency index.
+  std::size_t degree(NodeId id) const;
 
   std::vector<NodeId> hosts() const;
   std::vector<NodeId> switches() const;
@@ -106,13 +111,46 @@ class Graph {
   /// Whole-graph sanity: every switch within its model's port budget,
   /// hosts have exactly one (or more) links, graph connected, no self
   /// loops.  Throws std::logic_error with a diagnostic on violation.
+  /// Works from degrees_ and links_ alone: it never builds the index.
   void validate() const;
 
+  /// Connected components, by union-find over links_ (0 when empty).
+  std::size_t component_count() const;
+
  private:
+  /// Adjacency in compressed sparse rows, derived from links_: node v's
+  /// entries are entries[offsets[v], offsets[v + 1]), its incident links
+  /// in increasing id.  Built lazily by the first reader after a
+  /// mutation; concurrent first readers serialise on the mutex.  A copy
+  /// starts stale (the copy rebuilds on its first read); a move takes
+  /// the built index along.
+  class AdjacencyIndex {
+   public:
+    AdjacencyIndex() = default;
+    AdjacencyIndex(const AdjacencyIndex&) {}
+    AdjacencyIndex& operator=(const AdjacencyIndex&);
+    AdjacencyIndex(AdjacencyIndex&& other) noexcept;
+    AdjacencyIndex& operator=(AdjacencyIndex&& other) noexcept;
+
+    /// Marks the index stale; callers hold the graph exclusively.
+    void invalidate() { fresh_.store(false, std::memory_order_relaxed); }
+    /// Node id's entries, building the index from `links` if stale.
+    std::span<const Adjacency> row(std::size_t id, const std::vector<std::size_t>& degrees,
+                                   const std::vector<Link>& links) const;
+
+   private:
+    mutable std::vector<std::size_t> offsets_;
+    mutable std::vector<Adjacency> entries_;
+    mutable std::atomic<bool> fresh_{false};
+    mutable std::mutex build_;
+  };
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  std::vector<std::vector<Adjacency>> adjacency_;
+  /// Per-node link count, kept by the mutators.
+  std::vector<std::size_t> degrees_;
   std::vector<SwitchModel> models_;
+  AdjacencyIndex adjacency_;
 };
 
 }  // namespace quartz::topo

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
+#include "sim/experiments.hpp"
 #include "topo/builders.hpp"
+#include "topo/composite.hpp"
+#include "topo/failures.hpp"
 #include "wavelength/assign.hpp"
 
 namespace quartz::topo {
@@ -39,6 +44,8 @@ TEST(Graph, NeighborsAndDegree) {
     EXPECT_TRUE(g.is_host(adj.peer));
     EXPECT_EQ(g.link(adj.link).other(sw), adj.peer);
   }
+  EXPECT_THROW(g.degree(99), std::invalid_argument);
+  EXPECT_THROW(g.degree(-1), std::invalid_argument);
 }
 
 TEST(Graph, ModelOfSwitch) {
@@ -101,6 +108,32 @@ TEST(Graph, ValidateCatchesDisconnection) {
   g.add_link(h0, s0, gigabits_per_second(1), 0);
   g.add_link(h1, s1, gigabits_per_second(1), 0);
   EXPECT_THROW(g.validate(), std::logic_error);
+}
+
+TEST(Graph, ComponentCountFindsEveryIsland) {
+  Graph g;
+  EXPECT_EQ(g.component_count(), 0u);
+  const int model = g.add_model(SwitchModel::ull());
+  // Three islands with interleaved ids: {a0, a1}, the lone {b0}, and
+  // the triangle {c0, c1, c2}, which does not hold node 0.
+  const NodeId a0 = g.add_switch(model, "a0");
+  const NodeId c0 = g.add_switch(model, "c0");
+  const NodeId b0 = g.add_switch(model, "b0");
+  const NodeId c1 = g.add_switch(model, "c1");
+  const NodeId a1 = g.add_switch(model, "a1");
+  const NodeId c2 = g.add_switch(model, "c2");
+  g.add_link(c2, c1, gigabits_per_second(1), 0);
+  g.add_link(a1, a0, gigabits_per_second(1), 0);
+  g.add_link(c0, c2, gigabits_per_second(1), 0);
+  g.add_link(c1, c0, gigabits_per_second(1), 0);  // closes a cycle: no merge
+  EXPECT_EQ(g.component_count(), 3u);
+  EXPECT_THROW(g.validate(), std::logic_error);
+
+  g.add_link(b0, c1, gigabits_per_second(1), 0);
+  EXPECT_EQ(g.component_count(), 2u);
+  g.add_link(c2, a1, gigabits_per_second(1), 0);
+  EXPECT_EQ(g.component_count(), 1u);
+  EXPECT_NO_THROW(g.validate());
 }
 
 TEST(Graph, WdmMetadataStored) {
@@ -237,6 +270,148 @@ TEST(Graph, SpliceRejectsBadModelMaps) {
   EXPECT_THROW(g.splice(child, unknown, 0, 0), std::invalid_argument);
   EXPECT_THROW(g.splice(g, std::vector<int>{0}, 0, 0), std::invalid_argument);
   EXPECT_EQ(g.node_count(), 2u);  // nothing appended on rejection
+}
+
+/// neighbors(v) lists exactly v's incident links in increasing link
+/// id, each with the link's other end, and the degrees sum to twice
+/// the link count.
+void expect_adjacency_matches_links(const Graph& g) {
+  std::vector<std::size_t> incident(g.node_count(), 0);
+  for (const Link& l : g.links()) {
+    ++incident[static_cast<std::size_t>(l.a)];
+    ++incident[static_cast<std::size_t>(l.b)];
+  }
+  std::size_t degree_sum = 0;
+  for (const Node& n : g.nodes()) {
+    const auto adj = g.neighbors(n.id);
+    ASSERT_EQ(adj.size(), incident[static_cast<std::size_t>(n.id)]) << n.label;
+    ASSERT_EQ(g.degree(n.id), adj.size()) << n.label;
+    for (std::size_t k = 0; k < adj.size(); ++k) {
+      const Link& l = g.link(adj[k].link);
+      ASSERT_TRUE(l.a == n.id || l.b == n.id) << n.label;
+      ASSERT_EQ(adj[k].peer, l.other(n.id)) << n.label;
+      if (k > 0) {
+        ASSERT_LT(adj[k - 1].link, adj[k].link) << n.label;
+      }
+    }
+    degree_sum += g.degree(n.id);
+  }
+  EXPECT_EQ(degree_sum, 2 * g.link_count());
+}
+
+TEST(Graph, AdjacencyListsIncidentLinksInIdOrder) {
+  for (const sim::Fabric fabric :
+       {sim::Fabric::kThreeTierTree, sim::Fabric::kJellyfish, sim::Fabric::kQuartzInCore,
+        sim::Fabric::kQuartzInEdge, sim::Fabric::kQuartzInEdgeAndCore,
+        sim::Fabric::kQuartzInJellyfish, sim::Fabric::kComposite}) {
+    SCOPED_TRACE(sim::fabric_name(fabric));
+    expect_adjacency_matches_links(sim::build_fabric(fabric).topo.graph);
+  }
+
+  CompositeParams island;
+  island.spec = *CompositeSpec::parse("ring-of-rings:4x4x4+10");
+  island.foreground_leaf_switches = 6;
+  island.foreground_hosts_per_switch = 2;
+  SCOPED_TRACE("composite and compositions");
+  expect_adjacency_matches_links(build_composite(island).graph);
+
+  QuartzRingParams ring;
+  ring.switches = 5;
+  ring.hosts_per_switch = 2;
+  TwoTierParams pod;
+  pod.tors = 3;
+  pod.hosts_per_tor = 2;
+  pod.aggs = 2;
+  std::vector<BuiltTopology> elements;
+  elements.push_back(quartz_ring(ring));
+  elements.push_back(two_tier_tree(pod));
+  elements.push_back(build_composite(*CompositeSpec::parse("ring-of-rings:3x3@1")));
+  expect_adjacency_matches_links(compose_in_ring(std::move(elements)).graph);
+
+  ring.switches = 8;
+  const SurvivalOutcome survived = try_survive_fiber_cuts(quartz_ring(ring), {{0, 1}, {0, 5}});
+  ASSERT_GT(survived.severed, 0u);
+  expect_adjacency_matches_links(survived.degraded.graph);
+}
+
+TEST(Graph, NeighborsSeeLinksAddedAfterARead) {
+  Graph g = two_hosts_one_switch();
+  const NodeId sw = g.switches()[0];
+  ASSERT_EQ(g.neighbors(sw).size(), 2u);
+
+  const NodeId h2 = g.add_host("h2", 0);
+  EXPECT_TRUE(g.neighbors(h2).empty());
+  const LinkId l = g.add_link(sw, h2, gigabits_per_second(10), nanoseconds(25));
+  ASSERT_EQ(g.neighbors(sw).size(), 3u);
+  EXPECT_EQ(g.neighbors(sw).back().link, l);
+  EXPECT_EQ(g.neighbors(sw).back().peer, h2);
+  EXPECT_EQ(g.degree(h2), 1u);
+
+  const auto base = static_cast<NodeId>(g.node_count());
+  const std::vector<int> model_map = {0, g.add_model(SwitchModel::ccs())};
+  g.splice(splice_child(), model_map, 1, 0);
+  EXPECT_EQ(g.degree(base), 3u);  // the child's s0
+  g.add_link(sw, base, gigabits_per_second(40), 0);
+  EXPECT_EQ(g.degree(base), 4u);
+  EXPECT_EQ(g.neighbors(sw).back().peer, base);
+  expect_adjacency_matches_links(g);
+}
+
+TEST(Graph, CopiesAndMovesKeepTheirOwnAdjacency) {
+  Graph g = splice_child();
+  ASSERT_EQ(g.degree(0), 3u);  // builds g's index
+
+  Graph copy = g;
+  copy.add_link(1, 2, gigabits_per_second(10), 0);
+  EXPECT_EQ(copy.degree(1), 3u);
+  EXPECT_EQ(g.degree(1), 2u);  // the original is untouched
+
+  Graph moved = std::move(copy);
+  EXPECT_EQ(moved.degree(1), 3u);
+  expect_adjacency_matches_links(moved);
+
+  Graph assigned = two_hosts_one_switch();
+  ASSERT_EQ(assigned.degree(0), 2u);
+  assigned = g;
+  EXPECT_EQ(assigned.degree(0), 3u);
+  expect_adjacency_matches_links(assigned);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.degree(1), 3u);
+}
+
+TEST(Graph, ConcurrentFirstReadersSeeOneIndex) {
+  // build_composite validates its graph but never reads adjacency, so
+  // the four threads, released together, race to build the index.
+  const BuiltTopology t = build_composite(*CompositeSpec::parse("ring-of-rings:16x16x16"));
+  const Graph& g = t.graph;
+  constexpr int kThreads = 4;
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::size_t> degree_sums(kThreads, 0);
+  std::vector<std::uint64_t> link_sums(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kThreads; ++r) {
+    readers.emplace_back([&g, &waiting, &degree_sums, &link_sums, r] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      const std::size_t n = g.node_count();
+      for (std::size_t k = 0; k < n; ++k) {
+        // Each reader starts at a different node.
+        const auto v = static_cast<NodeId>((k + static_cast<std::size_t>(r) * n / kThreads) % n);
+        degree_sums[static_cast<std::size_t>(r)] += g.degree(v);
+        for (const Adjacency& adj : g.neighbors(v)) {
+          link_sums[static_cast<std::size_t>(r)] += static_cast<std::uint64_t>(adj.link);
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  // Every link id appears twice, once at each end.
+  const std::uint64_t links = g.link_count();
+  for (int r = 0; r < kThreads; ++r) {
+    EXPECT_EQ(degree_sums[static_cast<std::size_t>(r)], 2 * links);
+    EXPECT_EQ(link_sums[static_cast<std::size_t>(r)], links * (links - 1));
+  }
+  expect_adjacency_matches_links(g);
 }
 
 TEST(Graph, QuartzMeshFromPlanMatchesPlainOverload) {
