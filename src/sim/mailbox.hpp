@@ -15,7 +15,10 @@
 // The conservative window protocol makes the memory order easy to
 // state: a producer only writes entries during its run window, the
 // consumer only drains between windows (after the barrier), and the
-// barrier itself is a full synchronization point.  The acquire/release
+// barrier orders the two: every arrival releases through the
+// WindowBarrier's acq_rel arrival count, the last arrival releases the
+// next phase with a seq_cst store, and every waiter acquires that store
+// before it drains (sim/sharded.hpp).  The acquire/release
 // pairs below make the box safe even for the optional mid-window
 // drain a driver may do to cap memory, which is why the type is
 // TSan-clean rather than merely barrier-correct.

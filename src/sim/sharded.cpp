@@ -1,6 +1,12 @@
 #include "sim/sharded.hpp"
 
+#include <algorithm>
 #include <string>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/check.hpp"
 #include "sim/network.hpp"
@@ -10,7 +16,53 @@ namespace quartz::sim {
 
 namespace {
 constexpr std::uint32_t kLayoutChunk = snapshot::chunk_id("SHRD");
+
+/// Spin budget before parking: about 90 us at ~22 ns per `pause`, a few
+/// windows of storm work, far below a scheduler quantum.
+constexpr int kSpinPauses = 4096;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// CPUs the calling thread may run on (threads it spawns inherit them).
+int usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
 }  // namespace
+
+WindowBarrier::WindowBarrier(int parties)
+    : parties_(parties), spin_limit_(parties <= usable_cpus() ? kSpinPauses : 0) {
+  QUARTZ_REQUIRE(parties >= 1, "a barrier needs at least one party");
+}
+
+void WindowBarrier::arrive_and_wait() {
+  // This thread has not arrived yet, so the phase cannot move under it.
+  const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+    arrived_.store(0, std::memory_order_relaxed);
+    phase_.store(phase + 1, std::memory_order_seq_cst);
+    if (parked_.load(std::memory_order_seq_cst) > 0) phase_.notify_all();
+    return;
+  }
+  for (int i = 0; i < spin_limit_; ++i) {
+    if (phase_.load(std::memory_order_acquire) != phase) return;
+    cpu_relax();
+  }
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  while (phase_.load(std::memory_order_seq_cst) == phase) {
+    phase_.wait(phase, std::memory_order_seq_cst);
+  }
+  parked_.fetch_sub(1, std::memory_order_seq_cst);
+}
 
 ShardedSim::ShardedSim(PartitionPlan plan, const ShardFactory& factory)
     : plan_(std::move(plan)),
@@ -207,12 +259,22 @@ void ShardedSim::round(Command command) {
 }
 
 void ShardedSim::run_until(TimePs end) {
+  QUARTZ_REQUIRE(!failure_, "sharded run already failed (" + failure_.value_or("") +
+                                "); its shards are mid-window, build a new run");
   QUARTZ_REQUIRE(end >= cursor_, "cannot run backwards");
   for (const auto& w : workers_) {
     w->begin = cursor_;
     w->end = end;
   }
-  round(Command::kRun);
+  try {
+    round(Command::kRun);
+  } catch (const std::exception& e) {
+    failure_ = e.what();
+    throw;
+  } catch (...) {
+    failure_ = "non-standard exception";
+    throw;
+  }
   cursor_ = end;
   // The window protocol guarantees quiesced mailboxes between runs —
   // the property checkpointing relies on.
@@ -246,6 +308,8 @@ std::uint64_t ShardedSim::mail_posted() {
 }
 
 void ShardedSim::save_layout(snapshot::Writer& w) const {
+  QUARTZ_REQUIRE(!failure_, "cannot checkpoint a failed sharded run (" +
+                                failure_.value_or("") + ")");
   w.begin_chunk(kLayoutChunk);
   w.put_u32(static_cast<std::uint32_t>(plan_.shards));
   w.put_i64(plan_.lookahead);

@@ -64,11 +64,18 @@ void expect_pinned(const ShardedStormResult& r, std::uint64_t delivery_digest,
 TEST(ShardedStorm, DigestsArePinnedAtEveryShardCount) {
   // Committed literals: any change to the workload, the storm script,
   // the control plane or the merge order shows up here as a diff.
+  // The latency summary is pinned bit for bit too: the mean sums in
+  // merge order, and the p99 selection must return what a full sort of
+  // the latencies would put at that index.
   for (const int shards : {1, 2, 8}) {
-    expect_pinned(run_storm(composite_params(7, shards)), 0x53166d8b3999d63full,
-                  0x24dfa148252b3401ull, 3783, 57);
-    expect_pinned(run_storm(flat_params(11, shards)), 0x75013eb4f0c2f03bull,
-                  0xa84dd13175ee7ea1ull, 1916, 4);
+    const ShardedStormResult composite = run_storm(composite_params(7, shards));
+    expect_pinned(composite, 0x53166d8b3999d63full, 0x24dfa148252b3401ull, 3783, 57);
+    EXPECT_EQ(composite.p99_latency_us, 3.77);
+    EXPECT_EQ(composite.mean_latency_us, 2.5421390179751517);
+    const ShardedStormResult flat = run_storm(flat_params(11, shards));
+    expect_pinned(flat, 0x75013eb4f0c2f03bull, 0xa84dd13175ee7ea1ull, 1916, 4);
+    EXPECT_EQ(flat.p99_latency_us, 2.0099999999999998);
+    EXPECT_EQ(flat.mean_latency_us, 1.3994122009394572);
   }
 }
 

@@ -1,14 +1,20 @@
 // Sharded-engine units: the partition planner, the SPSC mailbox (incl.
-// a concurrent stress), and ShardedSim window semantics — with a
-// barrier-boundary tie harness that sends packets timed so cross-shard
-// heads land EXACTLY on window barriers, the case the strict-window +
-// stamp protocol exists for.
+// a concurrent stress), the spin-then-park window barrier, and
+// ShardedSim window semantics — with a barrier-boundary tie harness
+// that sends packets timed so cross-shard heads land EXACTLY on window
+// barriers, the case the strict-window + stamp protocol exists for.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +24,7 @@
 #include "sim/network.hpp"
 #include "sim/partition.hpp"
 #include "sim/sharded.hpp"
+#include "snapshot/io.hpp"
 #include "topo/builders.hpp"
 #include "topo/composite.hpp"
 
@@ -142,6 +149,67 @@ TEST(Mailbox, ConcurrentProducerConsumerStress) {
 }
 
 // ---------------------------------------------------------------------------
+// WindowBarrier.
+//
+// Every thread writes its own plain (non-atomic) slot before arriving
+// and reads every slot after leaving, so an early release shows up as a
+// stale slot here and as a data race under TSan.  A second crossing per
+// phase keeps the next phase's writes off the slots still being read.
+// With `stall_every` > 0, thread 0 sleeps 200 us before arriving every
+// that many phases: the others exhaust their spin and park, so a lost
+// wake-up hangs the test instead of passing it.
+void barrier_stress(int stall_every) {
+  constexpr int kThreads = 4;
+  constexpr int kPhases = 20000;
+  sim::WindowBarrier barrier(kThreads);
+  std::vector<int> slots(kThreads, -1);
+  std::atomic<int> stale{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int phase = 0; phase < kPhases; ++phase) {
+        slots[static_cast<std::size_t>(t)] = phase;
+        if (stall_every > 0 && t == 0 && phase % stall_every == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        barrier.arrive_and_wait();
+        for (const int slot : slots) {
+          if (slot != phase) stale.fetch_add(1, std::memory_order_relaxed);
+        }
+        barrier.arrive_and_wait();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(stale.load(), 0);
+}
+
+TEST(WindowBarrier, NoEarlyRelease) { barrier_stress(0); }
+
+TEST(WindowBarrier, NoEarlyReleaseWhenWaitersPark) { barrier_stress(500); }
+
+TEST(WindowBarrier, ParksAtOnceWhenPartiesOutnumberCpus) {
+#if defined(__linux__)
+  bool spins = true;
+  std::thread pinned([&spins] {
+    cpu_set_t set;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &set)) ++cpu;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(set), &set), 0);
+    spins = sim::WindowBarrier(4).spins();
+  });
+  pinned.join();
+  EXPECT_FALSE(spins);
+  EXPECT_TRUE(sim::WindowBarrier(1).spins());
+#else
+  GTEST_SKIP() << "CPU affinity masks are Linux-only";
+#endif
+}
+
+// ---------------------------------------------------------------------------
 // Barrier-boundary ties.
 //
 // Flat ring, every switch-to-switch propagation equal to the partition
@@ -158,9 +226,15 @@ struct TieRecord {
 
 class TieShard final : public sim::Shard, public sim::TimerHandler {
  public:
+  /// With `fail_at` >= 0, shard 1 throws from a timer at that time.
   TieShard(const topo::BuiltTopology& topo, const routing::EcmpRouting& routing,
-           const sim::ShardContext& ctx, TimePs gap, int packets)
-      : topo_(topo), oracle_(routing), net_(topo, oracle_), gap_(gap), packets_(packets) {
+           const sim::ShardContext& ctx, TimePs gap, int packets, TimePs fail_at = -1)
+      : topo_(topo),
+        oracle_(routing),
+        net_(topo, oracle_),
+        gap_(gap),
+        packets_(packets),
+        fail_at_(ctx.shard == 1 ? fail_at : -1) {
     net_.bind_shard(ctx.binding);
     task_ = net_.new_task([this](const sim::Packet& p, TimePs) {
       records_.push_back({net_.now(), p.id});
@@ -177,10 +251,12 @@ class TieShard final : public sim::Shard, public sim::TimerHandler {
       // Aligned start: every send lands on a multiple of the gap.
       net_.schedule_timer(0, {this, 1, i, 0});
     }
+    if (fail_at_ >= 0) net_.schedule_timer(fail_at_, {this, 2, 0, 0});
   }
 
  private:
   void on_timer(const sim::TimerEvent& event) override {
+    if (event.tag == 2) throw std::runtime_error("injected timer fault");
     const std::uint64_t i = event.a;
     const std::uint64_t k = event.b;
     const auto& hosts = topo_.hosts;
@@ -200,6 +276,7 @@ class TieShard final : public sim::Shard, public sim::TimerHandler {
   sim::Network net_;
   TimePs gap_;
   int packets_;
+  TimePs fail_at_;
   int task_ = -1;
   std::vector<TieRecord> records_;
 };
@@ -263,6 +340,44 @@ TEST(ShardedSim, CrossShardTrafficUsesMailboxes) {
   sharded.run_until(microseconds(50));
   EXPECT_GT(sharded.mail_posted(), 0u);
   EXPECT_GT(sharded.events_processed(), 0u);
+}
+
+TEST(ShardedSim, FailedRunRefusesToContinue) {
+  const auto topo = flat_ring(8, 1);
+  const routing::EcmpRouting routing(topo.graph);
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(shards);
+    sim::ShardedSim sharded(
+        sim::plan_partition(topo, shards),
+        [&](const sim::ShardContext& ctx) -> std::unique_ptr<sim::Shard> {
+          return std::make_unique<TieShard>(topo, routing, ctx, nanoseconds(300), 40,
+                                            microseconds(5));
+        });
+    sharded.visit([](int, sim::Shard& shard) { static_cast<TieShard&>(shard).arm(); });
+    // The shard's own error comes back, and the surviving shards'
+    // barrier schedule completes instead of deadlocking.
+    try {
+      sharded.run_until(microseconds(20));
+      ADD_FAILURE() << "the injected fault did not propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "injected timer fault");
+    }
+    // Mail the failed shard never drained is still in flight; driving
+    // the run again must refuse, naming the first failure.
+    try {
+      sharded.run_until(microseconds(40));
+      ADD_FAILURE() << "a failed run was driven again";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("already failed (injected timer fault)"),
+                std::string::npos)
+          << e.what();
+    }
+    snapshot::Writer w;
+    EXPECT_THROW(sharded.save_layout(w), std::invalid_argument);
+    int visited = 0;
+    sharded.visit([&visited](int, sim::Shard&) { ++visited; });
+    EXPECT_EQ(visited, shards);
+  }
 }
 
 TEST(ShardedSim, FactoryErrorPropagates) {
