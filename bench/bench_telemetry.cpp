@@ -7,9 +7,9 @@
 //   * encode_throughput: records/sec and bytes/event of the pure hot
 //     path (bytes/event <= 32 is QUARTZ_CHECKed — the record format
 //     budget);
-//   * capture_overhead: the bench_fig18 operating point with the stream
+//   * capture_overhead: the Fig. 18 operating point with the stream
 //     on vs off.  "Overhead" follows the repo's existing telemetry
-//     contract (bench_fig18's telemetry_passivity section): the effect on
+//     contract (fig18's telemetry_passivity section): the effect on
 //     *simulated results*, which determinism makes exactly zero and
 //     which is QUARTZ_CHECKed < 2% under NDEBUG.  Wall-clock capture
 //     cost is reported alongside as ns/event — at this simulator's
@@ -43,7 +43,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// The bench_fig18 operating point: 3 localized scatter tasks on
+/// The Fig. 18 operating point: 3 localized scatter tasks on
 /// quartz-in-jellyfish for 10 ms — the configuration the repo's other
 /// telemetry-overhead checks standardize on.
 TaskExperimentParams fig18_params() {
@@ -150,10 +150,10 @@ void run_capture_overhead() {
   const double ns_per_event =
       (on_best - off_best) * 1e9 / static_cast<double>(records > 0 ? records : 1);
 
-  // The repo's telemetry contract ("overhead" as bench_fig18 defines
-  // it): attached telemetry must not move simulated results.  The
-  // stream is passive and the engine deterministic, so the delta is
-  // exactly zero — well under the 2% budget.
+  // The repo's telemetry contract ("overhead" as fig18's passivity
+  // check defines it): attached telemetry must not move simulated
+  // results.  The stream is passive and the engine deterministic, so
+  // the delta is exactly zero — well under the 2% budget.
   const double result_overhead_rel =
       off_result.mean_latency_us == 0.0
           ? 0.0

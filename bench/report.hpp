@@ -1,12 +1,13 @@
 // Shared scaffolding for the bench binaries.
 //
-// Every binary under bench/ regenerates one of the paper's tables or
-// figures and checks the correctness bars that go with it: it prints
-// the reproduction (the same rows/series the paper reports) and
-// QUARTZ_CHECKs its acceptance bounds.  Speed is judged elsewhere, by
-// the bench/suite workloads against their committed baselines.
+// quartz_paper regenerates the paper's tables and figures (one per
+// --figure) and the other binaries under bench/ run this repo's own
+// studies; each prints its reproduction (the same rows/series the
+// paper reports) and QUARTZ_CHECKs its acceptance bounds.  Speed is
+// judged elsewhere, by the bench/suite workloads against their
+// committed baselines.
 //
-// Besides the console text, each binary emits a machine-readable
+// Besides the console text, each run emits a machine-readable
 // BENCH_<id>.json capturing the reproduction rows and telemetry
 // rollups (latency decompositions, metric registries, time-series
 // buckets) — one self-contained artifact per figure.  See
@@ -19,6 +20,7 @@
 //                        (sim::SweepRunner; 0 = all hardware threads,
 //                        default 1).  Results are byte-identical for
 //                        every value — jobs only changes wall-clock.
+// A report that cannot be written makes the binary exit 1.
 #pragma once
 
 #include <climits>
@@ -56,8 +58,9 @@ class Report {
   }
 
   /// Read the report flags and remember the program name.  Prints the
-  /// offending argument and returns false on an unknown or malformed one.
-  bool parse_args(int argc, char** argv) {
+  /// offending argument and returns false on an unknown or malformed
+  /// one; `extra_keys` are the caller's own flags, accepted unread.
+  bool parse_args(int argc, char** argv, std::vector<std::string> extra_keys = {}) {
     if (argc > 0) {
       program_ = argv[0];
       const std::size_t slash = program_.find_last_of('/');
@@ -65,7 +68,8 @@ class Report {
     }
     const Flags flags = Flags::parse(argc, argv);
     bool ok = true;
-    for (const std::string& key : flags.unknown_keys({"report-dir", "no-report", "jobs"})) {
+    extra_keys.insert(extra_keys.end(), {"report-dir", "no-report", "jobs"});
+    for (const std::string& key : flags.unknown_keys(extra_keys)) {
       std::fprintf(stderr, "%s: unrecognized argument --%s\n", program_.c_str(), key.c_str());
       ok = false;
     }
@@ -160,15 +164,11 @@ class Report {
   void set_metrics(const telemetry::MetricRegistry* registry) { metrics_ = registry; }
 
   /// Write BENCH_<id>.json (no-op when --no-report or open() was never
-  /// called).  Returns the path written, or "" when skipped.
-  std::string write() const {
-    if (!enabled_ || id_.empty()) return "";
+  /// called).  Returns false when the file cannot be written.
+  bool write() const {
+    if (!enabled_ || id_.empty()) return true;
     const std::string path = directory_ + "/BENCH_" + id_ + ".json";
     std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return "";
-    }
     telemetry::JsonWriter w(os, /*pretty=*/true);
     w.begin_object();
     w.kv("schema", "quartz-bench-report/2");
@@ -194,8 +194,12 @@ class Report {
     }
     w.end_object();
     os << '\n';
+    if (!os.flush()) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
     std::printf("\nreport: %s\n", path.c_str());
-    return path;
+    return true;
   }
 
  private:
@@ -235,15 +239,14 @@ class Report {
 inline void print_note(const std::string& note) { Report::instance().note(note); }
 
 /// Standard main body: parse the report flags, run the reproduction,
-/// then write the BENCH_<id>.json artifact.
+/// then write the BENCH_<id>.json artifact (exit 1 if that fails).
 #define QUARTZ_BENCH_MAIN(report_fn)                                    \
   int main(int argc, char** argv) {                                     \
     if (!::quartz::bench::Report::instance().parse_args(argc, argv)) {  \
       return 1;                                                         \
     }                                                                   \
     report_fn();                                                        \
-    ::quartz::bench::Report::instance().write();                        \
-    return 0;                                                           \
+    return ::quartz::bench::Report::instance().write() ? 0 : 1;         \
   }
 
 }  // namespace quartz::bench
