@@ -334,7 +334,7 @@ class ShardedStormRun::StormShard final : public sim::Shard,
   void restore(snapshot::Reader& r) {
     const sim::HandlerMap handlers = handler_map();
     r.open_chunk(snapshot::chunk_id("SREC"));
-    const std::uint64_t count = r.get_u64();
+    const std::uint64_t count = r.get_count(3 * sizeof(std::uint64_t) + 1 + sizeof(std::uint32_t));
     records_.clear();
     records_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -507,7 +507,7 @@ void PinnedDetourOracle::restore(snapshot::Reader& r) {
     pinned_[key] = r.get_i32();
   }
   regrooming_ = r.get_bool();
-  const std::uint64_t staged_count = r.get_u64();
+  const std::uint64_t staged_count = r.get_count(3 * sizeof(std::int32_t));
   staged_.reserve(staged_count);
   for (std::uint64_t i = 0; i < staged_count; ++i) {
     StagedChange change;

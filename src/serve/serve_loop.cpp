@@ -585,7 +585,7 @@ void ServeLoop::restore_snapshot(snapshot::Reader& r) {
     call.holding_retry_slot = r.get_bool();
     outstanding_.insert(id, call);
   }
-  const std::uint64_t traced = r.get_u64();
+  const std::uint64_t traced = r.get_count(sizeof(std::int64_t) + 3 * sizeof(std::int32_t));
   trace_.clear();
   trace_.reserve(traced);
   for (std::uint64_t i = 0; i < traced; ++i) {
@@ -596,7 +596,7 @@ void ServeLoop::restore_snapshot(snapshot::Reader& r) {
     ev.dst = r.get_i32();
     trace_.push_back(ev);
   }
-  const std::uint64_t pins = r.get_u64();
+  const std::uint64_t pins = r.get_count(2 * sizeof(std::int32_t));
   live_pins_.clear();
   live_pins_.reserve(pins);
   for (std::uint64_t i = 0; i < pins; ++i) {

@@ -252,13 +252,14 @@ void FaultScheduler::save(snapshot::Writer& w) const {
 
 void FaultScheduler::restore(snapshot::Reader& r) {
   QUARTZ_REQUIRE(actions_.empty(), "restore requires a fresh FaultScheduler");
-  const std::uint64_t action_count = r.get_u64();
+  // Each action holds at least its kind, drop_p and link count.
+  const std::uint64_t action_count = r.get_count(1 + 2 * sizeof(std::uint64_t));
   actions_.reserve(action_count);
   for (std::uint64_t i = 0; i < action_count; ++i) {
     ScriptedAction action;
     action.kind = static_cast<ScriptedAction::Kind>(r.get_u8());
     action.drop_p = r.get_f64();
-    const std::uint64_t link_count = r.get_u64();
+    const std::uint64_t link_count = r.get_count(sizeof(std::int32_t));
     action.links.reserve(link_count);
     for (std::uint64_t j = 0; j < link_count; ++j) action.links.push_back(r.get_i32());
     actions_.push_back(std::move(action));

@@ -260,6 +260,13 @@ std::string Reader::get_string() {
   return std::string(reinterpret_cast<const char*>(p), n);
 }
 
+std::uint64_t Reader::get_count(std::size_t item_bytes) {
+  const std::uint64_t n = get_u64();
+  QUARTZ_REQUIRE(n <= (chunk_end_ - cursor_) / std::max<std::size_t>(item_bytes, 1),
+                 "element count overruns its chunk");
+  return n;
+}
+
 void Reader::get_rng(Rng& rng) {
   RngState s;
   for (auto& word : s.word) word = get_u64();
@@ -267,7 +274,7 @@ void Reader::get_rng(Rng& rng) {
 }
 
 std::vector<double> Reader::get_f64_vec() {
-  const std::uint64_t n = get_u64();
+  const std::uint64_t n = get_count(sizeof(double));
   std::vector<double> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(get_f64());

@@ -117,6 +117,10 @@ class Reader {
   double get_f64();
   bool get_bool() { return get_u8() != 0; }
   std::string get_string();
+  /// An element count (written with put_u64), checked against the open
+  /// chunk: `count` items of at least `item_bytes` each must still fit,
+  /// so a damaged count throws instead of sizing a huge allocation.
+  std::uint64_t get_count(std::size_t item_bytes);
   void get_rng(Rng& rng);
   std::vector<double> get_f64_vec();
 

@@ -122,6 +122,16 @@ constexpr int kWordCount[64] = {
     -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
     -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1};
 
+/// Time arithmetic on decoded fields wraps in two's complement: damaged
+/// records may hold any bit pattern, and decoding them must not
+/// overflow.  No sum over an intact stream wraps.
+TimePs plus(TimePs a, TimePs b) {
+  return static_cast<TimePs>(static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b));
+}
+TimePs minus(TimePs a, TimePs b) {
+  return static_cast<TimePs>(static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b));
+}
+
 struct Rec {
   TimePs t = 0;
   std::uint64_t seq = 0;
@@ -231,7 +241,7 @@ std::vector<Rec> parse_stream(const std::vector<PageRef>& pages, std::size_t fil
                                        "torn record"});
         break;
       }
-      t += zigzag_decode(header_word >> 6);
+      t = plus(t, zigzag_decode(header_word >> 6));
       Rec rec;
       rec.t = t;
       rec.seq = seq++;
@@ -290,7 +300,7 @@ class StreamReplayer {
         s.created = rec.t;
         packets_[rec.w[0]] = s;
         const sim::Packet p = make_packet(rec.w[0], s);
-        const TimePs ready = rec.t + static_cast<TimePs>(rec.w[3]);
+        const TimePs ready = plus(rec.t, static_cast<TimePs>(rec.w[3]));
         for (TelemetrySink* sink : *sinks_) sink->on_send(p, ready);
         return;
       }
@@ -306,11 +316,12 @@ class StreamReplayer {
         const auto line = static_cast<std::uint32_t>(rec.w[1]);
         const auto link = static_cast<topo::LinkId>(line >> 1);
         const int direction = static_cast<int>(line & 1u);
-        s->queued += wait;  // the live sink sees queued already bumped
+        s->queued = plus(s->queued, wait);  // the live sink sees queued already bumped
         s->last_wire = wire;
         const sim::Packet p = make_packet(rec.w[0], *s);
         for (TelemetrySink* sink : *sinks_) {
-          sink->on_transmit(p, from, link, direction, rec.t, rec.t + wait, rec.t + wait + wire);
+          sink->on_transmit(p, from, link, direction, rec.t, plus(rec.t, wait),
+                            plus(plus(rec.t, wait), wire));
         }
         return;
       }
@@ -320,7 +331,7 @@ class StreamReplayer {
         const auto node = static_cast<topo::NodeId>(static_cast<std::int32_t>(rec.w[1]));
         const sim::Packet p = make_packet(rec.w[0], *s);
         for (TelemetrySink* sink : *sinks_) {
-          sink->on_arrival(p, node, rec.t, rec.t + s->last_wire);
+          sink->on_arrival(p, node, rec.t, plus(rec.t, s->last_wire));
         }
         return;
       }
@@ -338,7 +349,7 @@ class StreamReplayer {
         if (kind != HopKind::kServerRelay) ++s->hops;
         const sim::Packet p = make_packet(rec.w[0], *s);
         for (TelemetrySink* sink : *sinks_) {
-          sink->on_forward(p, node, kind, rec.t, rec.t + s->last_wire, rec.t + delta);
+          sink->on_forward(p, node, kind, rec.t, plus(rec.t, s->last_wire), plus(rec.t, delta));
         }
         return;
       }
@@ -346,7 +357,7 @@ class StreamReplayer {
         PacketState* s = find(rec.w[0]);
         if (s == nullptr) return;
         const sim::Packet p = make_packet(rec.w[0], *s);
-        const TimePs latency = rec.t - s->created;
+        const TimePs latency = minus(rec.t, s->created);
         packets_.erase(rec.w[0]);
         for (TelemetrySink* sink : *sinks_) sink->on_delivery(p, rec.t, latency);
         return;
@@ -393,7 +404,7 @@ class StreamReplayer {
       }
       case StreamEventId::kFlapDamped: {
         const auto link = static_cast<topo::LinkId>(static_cast<std::int32_t>(rec.w[0]));
-        const TimePs until = rec.t + static_cast<TimePs>(rec.w[1]);
+        const TimePs until = plus(rec.t, static_cast<TimePs>(rec.w[1]));
         for (TelemetrySink* sink : *sinks_) sink->on_flap_damped(link, until, rec.t);
         return;
       }

@@ -1,10 +1,11 @@
 // Hierarchical composition of design elements — the paper's §4/Fig. 15
-// pitch taken to its limit.  Any BuiltTopology (Quartz ring, tree pod,
-// random graph) can occupy a node slot of a parent ring template,
-// producing rings-of-rings (the hierarchical WDM DCN architecture of
-// arXiv:1901.06450) and Quartz-core + Quartz-edge fabrics.
+// pitch taken to its limit.  Identical elements (Quartz rings or
+// two-tier pods) fill the node slots of a parent ring template, level
+// after level, producing rings-of-rings (the hierarchical WDM DCN
+// architecture of arXiv:1901.06450) and rings of tree pods.
 //
-// The builder tags every node with its hierarchy path, records the
+// The builder writes the whole fabric into one graph in a single
+// depth-first pass, tags every node with its hierarchy path, records the
 // trunk matrix between sibling elements at every level (the substrate
 // for routing::HierOracle's (node, level-group) FIB), and can account
 // for "modeled" hosts that are never materialized as graph nodes —
@@ -46,8 +47,8 @@ struct CompositeMeta {
   std::vector<std::int32_t> path;
   /// True when every level is a uniform ring-of-equal-elements, which
   /// is what HierOracle's closed-form gateway rule requires.
-  /// Heterogeneous compositions still get slot tags (arity = {n},
-  /// levels() == 1) but no trunk tables.
+  /// ring-of-trees fabrics get only their outermost slot tag
+  /// (arity = {dims[0]}, levels() == 1) and no trunk tables.
   bool uniform = false;
   /// parent_count[l] = number of distinct length-l prefixes
   /// (= product of arity[0..l-1]; 1 at l = 0).
@@ -160,24 +161,12 @@ struct CompositeParams {
 
 /// Build a homogeneous composed fabric from a spec.  ring-of-rings
 /// yields uniform CompositeMeta (HierOracle-routable); ring-of-trees
-/// composes two-tier pods into rings and yields slot-tagged meta.
+/// stamps one two-tier pod per leaf and yields slot-tagged meta.  Each
+/// element is written as its children in slot order, then a full trunk
+/// mesh between them whose gateway ports rotate round-robin over each
+/// child's ToRs.  WDM physical rings and racks are numbered per leaf
+/// so failure analysis stays per-element-correct.
 BuiltTopology build_composite(const CompositeParams& params);
 BuiltTopology build_composite(const CompositeSpec& spec);
-
-/// Generic element-in-slot composition: splice arbitrary
-/// BuiltTopologies as the slots of a ring template, full trunk mesh
-/// between every element pair (gateway ports rotate round-robin over
-/// each element's ToR list).  WDM physical-ring indices and racks are
-/// re-based per element so failure analysis stays per-element-correct.
-/// Produces uniform meta when every element is the same-size plain
-/// Quartz ring or carries identical uniform meta; otherwise slot tags.
-struct ComposeParams {
-  std::string name = "composite";
-  BitsPerSecond trunk_rate = gigabits_per_second(40);
-  TimePs trunk_propagation = nanoseconds(500);
-  int trunks_per_pair = 1;
-};
-BuiltTopology compose_in_ring(std::vector<BuiltTopology> elements,
-                              const ComposeParams& params = {});
 
 }  // namespace quartz::topo

@@ -53,8 +53,8 @@ void Graph::reserve(std::size_t nodes, std::size_t links) {
   links_.reserve(links);
 }
 
-SpliceExtent Graph::splice(const Graph& child, std::span<const int> model_map, int rack_offset,
-                           int wdm_ring_offset) {
+void Graph::splice(const Graph& child, std::span<const int> model_map, int rack_offset,
+                   int wdm_ring_offset) {
   QUARTZ_REQUIRE(&child != this, "a graph cannot splice itself");
   QUARTZ_REQUIRE(model_map.size() == child.models_.size(),
                  "model map must cover the child's models");
@@ -64,23 +64,19 @@ SpliceExtent Graph::splice(const Graph& child, std::span<const int> model_map, i
   QUARTZ_REQUIRE(rack_offset >= 0 && wdm_ring_offset >= 0, "splice offsets cannot be negative");
   const auto node_base = static_cast<NodeId>(nodes_.size());
   const auto link_base = static_cast<LinkId>(links_.size());
-  SpliceExtent extent;
 
   for (const Node& n : child.nodes_) {
     const int model =
         n.kind == NodeKind::kSwitch ? model_map[static_cast<std::size_t>(n.model)] : -1;
     nodes_.push_back(Node{node_base + n.id, n.kind, model, n.rack < 0 ? -1 : rack_offset + n.rack,
                           n.label});
-    extent.racks = std::max(extent.racks, n.rack + 1);
   }
   degrees_.insert(degrees_.end(), child.degrees_.begin(), child.degrees_.end());
   for (const Link& l : child.links_) {
     links_.push_back(Link{link_base + l.id, node_base + l.a, node_base + l.b, l.rate, l.propagation,
                           l.wdm_ring < 0 ? -1 : wdm_ring_offset + l.wdm_ring, l.wdm_channel});
-    extent.wdm_rings = std::max(extent.wdm_rings, l.wdm_ring + 1);
   }
   adjacency_.invalidate();
-  return extent;
 }
 
 const Node& Graph::node(NodeId id) const {

@@ -57,13 +57,6 @@ struct Adjacency {
   NodeId peer = kInvalidNode;
 };
 
-/// Label ranges a spliced child graph used: one past its highest rack
-/// and its highest WDM physical ring (0 when it has none).
-struct SpliceExtent {
-  int racks = 0;
-  int wdm_rings = 0;
-};
-
 class Graph {
  public:
   /// Register a switch model; returns its index for add_switch().
@@ -83,8 +76,8 @@ class Graph {
   /// racks / WDM rings shift by the given offsets (-1 stays -1).  Only
   /// nodes and links are copied; adjacency is derived from links_, so
   /// the result equals replaying the child's add_link calls.
-  SpliceExtent splice(const Graph& child, std::span<const int> model_map, int rack_offset,
-                      int wdm_ring_offset);
+  void splice(const Graph& child, std::span<const int> model_map, int rack_offset,
+              int wdm_ring_offset);
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }

@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "chaos/crash_drill.hpp"
+#include "support/crash_drill.hpp"
 #include "common/units.hpp"
 #include "snapshot/io.hpp"
 

@@ -1,4 +1,4 @@
-#include "chaos/slo_storm.hpp"
+#include "support/slo_storm.hpp"
 
 #include <gtest/gtest.h>
 

@@ -21,7 +21,7 @@
 #include <iostream>
 
 #include "chaos/sharded_storm.hpp"
-#include "chaos/slo_storm.hpp"
+#include "support/slo_storm.hpp"
 
 namespace quartz::chaos {
 namespace {

@@ -11,9 +11,8 @@ if(NOT ROOT)
   message(FATAL_ERROR "usage: cmake -DROOT=<repo root> -P orphan_headers.cmake")
 endif()
 
-# Test harnesses that still live in src/: product or test support is
-# an open decision (ROADMAP, "Delete what no program runs").
-set(allowed chaos/crash_drill.hpp chaos/slo_storm.hpp)
+# Empty: test-only harnesses live under tests/support/, not src/.
+set(allowed "")
 
 file(GLOB_RECURSE headers RELATIVE ${ROOT}/src ${ROOT}/src/*.hpp)
 file(GLOB_RECURSE includers

@@ -154,6 +154,35 @@ TEST(SnapshotIo, ChunkDisciplineIsEnforced) {
   EXPECT_THROW(reader->close_chunk(), std::invalid_argument);
 }
 
+TEST(SnapshotIo, DamagedCountThrowsBeforeSizingAnAllocation) {
+  // A count no chunk could hold must throw, not reserve 2^40 items.
+  Writer w;
+  w.begin_chunk(chunk_id("VECS"));
+  w.put_u64(std::uint64_t{1} << 40);
+  w.put_f64(1.0);
+  w.put_u64(2);
+  w.put_u32(7);
+  w.put_u32(8);
+  w.end_chunk();
+  std::string error;
+  auto reader = Reader::from_bytes(file_bytes(w, 0), &error);
+  ASSERT_TRUE(reader.has_value()) << error;
+  reader->open_chunk(chunk_id("VECS"));
+  EXPECT_THROW(reader->get_f64_vec(), std::invalid_argument);
+
+  reader = Reader::from_bytes(file_bytes(w, 0), &error);
+  reader->open_chunk(chunk_id("VECS"));
+  reader->get_u64();
+  reader->get_f64();
+  // Two 4-byte items fit the 8 bytes left; two 8-byte items do not.
+  EXPECT_EQ(reader->get_count(sizeof(std::uint32_t)), 2u);
+  reader = Reader::from_bytes(file_bytes(w, 0), &error);
+  reader->open_chunk(chunk_id("VECS"));
+  reader->get_u64();
+  reader->get_f64();
+  EXPECT_THROW(reader->get_count(sizeof(std::uint64_t)), std::invalid_argument);
+}
+
 TEST(SnapshotIo, ListsCheckpointsInSequenceOrder) {
   TempDir dir;
   for (const std::uint64_t seq : {5u, 1u, 3u}) {

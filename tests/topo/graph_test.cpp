@@ -190,10 +190,7 @@ TEST(Graph, SpliceShiftsIdsAndRemapsLabels) {
   Graph g = splice_parent();
   // Child model 0 (ULL) reuses the parent's; child model 1 is new.
   const std::vector<int> model_map = {0, g.add_model(SwitchModel::ccs())};
-  const SpliceExtent extent = g.splice(child, model_map, /*rack_offset=*/2,
-                                       /*wdm_ring_offset=*/1);
-  EXPECT_EQ(extent.racks, 3);
-  EXPECT_EQ(extent.wdm_rings, 2);
+  g.splice(child, model_map, /*rack_offset=*/2, /*wdm_ring_offset=*/1);
 
   ASSERT_EQ(g.node_count(), 5u);
   ASSERT_EQ(g.link_count(), 5u);
@@ -312,23 +309,15 @@ TEST(Graph, AdjacencyListsIncidentLinksInIdOrder) {
   island.spec = *CompositeSpec::parse("ring-of-rings:4x4x4+10");
   island.foreground_leaf_switches = 6;
   island.foreground_hosts_per_switch = 2;
-  SCOPED_TRACE("composite and compositions");
+  SCOPED_TRACE("composites");
   expect_adjacency_matches_links(build_composite(island).graph);
+  // ring-of-trees stamps its pods with Graph::splice.
+  expect_adjacency_matches_links(
+      build_composite(*CompositeSpec::parse("ring-of-trees:3x2x4@2")).graph);
 
   QuartzRingParams ring;
-  ring.switches = 5;
-  ring.hosts_per_switch = 2;
-  TwoTierParams pod;
-  pod.tors = 3;
-  pod.hosts_per_tor = 2;
-  pod.aggs = 2;
-  std::vector<BuiltTopology> elements;
-  elements.push_back(quartz_ring(ring));
-  elements.push_back(two_tier_tree(pod));
-  elements.push_back(build_composite(*CompositeSpec::parse("ring-of-rings:3x3@1")));
-  expect_adjacency_matches_links(compose_in_ring(std::move(elements)).graph);
-
   ring.switches = 8;
+  ring.hosts_per_switch = 2;
   const SurvivalOutcome survived = try_survive_fiber_cuts(quartz_ring(ring), {{0, 1}, {0, 5}});
   ASSERT_GT(survived.severed, 0u);
   expect_adjacency_matches_links(survived.degraded.graph);
