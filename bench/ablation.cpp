@@ -1,11 +1,20 @@
-// Ablations of the design choices DESIGN.md calls out:
+// quartz_paper --figure=ablation: the design-choice ablations DESIGN.md
+// calls out.
 //   (a) the VLB split parameter k under the Fig. 20 hotspot (§3.4's
 //       "k can be adaptive depending on the traffic characteristics");
 //   (b) L2 spanning-tree forwarding vs ECMP on the mesh (§3.4's naive
-//       baseline, which wastes all but M-1 lightpaths); and
+//       baseline, which wastes all but M-1 lightpaths);
 //   (c) ring-size scaling: channels, physical rings, amplifiers and
-//       mesh transceivers as M grows (the §3.2 scalability story).
+//       mesh transceivers as M grows (the §3.2 scalability story);
+//   (d) the n:k oversubscription dial; (e) §4.2's pay-as-you-grow;
+//   (f) flow completion times; (g) steady-state availability; and
+//   (h) the scale sensitivity of the Fig. 17 gap.
+// Each section QUARTZ_CHECKs the claims EXPERIMENTS.md makes for it
+// against the values it just printed.
 #include "report.hpp"
+
+#include <algorithm>
+#include <cmath>
 
 #include "common/table.hpp"
 #include "core/design.hpp"
@@ -17,6 +26,7 @@
 #include "sim/sweep.hpp"
 #include "sim/workloads.hpp"
 #include "topo/builders.hpp"
+#include "wavelength/assign.hpp"
 
 namespace {
 
@@ -51,6 +61,23 @@ void report_vlb_sweep() {
       "with 50G offered into a 40G lightpath, at least 20% of traffic "
       "must detour; the sweep shows the knee and the small per-hop cost "
       "of over-detouring");
+
+  // Queues grow for the whole run below the 10G/50G overflow fraction,
+  // the knee is at exactly k = 0.2, and past it latency stays flat but
+  // pays a mild per-hop cost for detouring more than it must.
+  double best_past_knee = results.back().mean_latency_us;
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    const double mean = results[i].mean_latency_us;
+    if (ks[i] < 0.2) {
+      QUARTZ_CHECK(mean > 100.0, "k below the overflow fraction queues without bound");
+    } else {
+      QUARTZ_CHECK(mean < 2.5, "k at or past the overflow fraction stays under 2.5 us");
+      best_past_knee = std::min(best_past_knee, mean);
+    }
+  }
+  QUARTZ_CHECK(results.back().mean_latency_us > best_past_knee &&
+                   results.back().mean_latency_us < best_past_knee + 1.0,
+               "detouring everything costs under 1 us over the best k");
 }
 
 void report_spanning_tree() {
@@ -106,6 +133,12 @@ void report_spanning_tree() {
       "§3.4: Ethernet's single spanning tree funnels every flow through "
       "the root switch, recreating the congestion the mesh exists to "
       "remove; ECMP uses each pair's dedicated lightpath");
+
+  const double slowdown = duel[1].mean_us / duel[0].mean_us;
+  QUARTZ_CHECK(duel[0].packets == duel[1].packets, "both forwardings deliver every packet");
+  QUARTZ_CHECK(slowdown > 1.25 && slowdown < 1.5,
+               "the spanning tree raises mean latency by about a third");
+  QUARTZ_CHECK(duel[1].p99_us > duel[0].p99_us, "the spanning tree raises the p99 too");
 }
 
 void report_ring_scaling() {
@@ -139,6 +172,22 @@ void report_ring_scaling() {
       "channels grow ~M^2/8, so mux capacity (80) forces a second "
       "physical ring near M=25 and the fiber cap (160) stops the mesh at "
       "M=35 — the scalability wall that motivates Quartz-as-an-element");
+
+  for (std::size_t i = 0; i < ring_sizes.size(); ++i) {
+    const int m = ring_sizes[i];
+    const core::QuartzDesign& design = designs[i];
+    QUARTZ_CHECK(design.feasible, "every ring size up to M = 35 fits");
+    const int channels = design.channels.channels_used;
+    const double quadratic = m * m / 8.0;
+    if (m >= 8) {
+      QUARTZ_CHECK(channels >= quadratic && channels <= 1.3 * quadratic, "channels grow ~M^2/8");
+    }
+    QUARTZ_CHECK(design.physical_rings == (channels > 80 ? 2 : 1),
+                 "a second ring exactly when the channels pass the mux's 80");
+    QUARTZ_CHECK(channels <= 160, "the 160-channel fiber holds every ring up to M = 35");
+  }
+  QUARTZ_CHECK(wavelength::max_ring_size(80) == 24, "the second ring is forced from M = 25");
+  QUARTZ_CHECK(designs[7].total_server_ports == 1056, "1056 single-ToR ports at M = 33");
 }
 
 void report_oversubscription() {
@@ -174,6 +223,16 @@ void report_oversubscription() {
       "§3: \"a DCN designer can reduce the number of required switches by "
       "increasing the server-to-switch ratio at the cost of higher "
       "network oversubscription\" — the dial quantified");
+
+  // Every pattern loses throughput as each switch takes more hosts, and
+  // an undersubscribed rack carries a full permutation.
+  QUARTZ_CHECK(rows.front().permutation > 0.995, "n < k carries a full permutation");
+  for (std::size_t at = 1; at < host_counts.size(); ++at) {
+    QUARTZ_CHECK(rows[at].permutation < rows[at - 1].permutation &&
+                     rows[at].incast < rows[at - 1].incast &&
+                     rows[at].shuffle < rows[at - 1].shuffle,
+                 "every pattern's throughput falls as n grows");
+  }
 }
 
 void report_upgrade_path() {
@@ -192,12 +251,23 @@ void report_upgrade_path() {
                    std::to_string(s.channels), std::to_string(s.physical_rings), step, q, c});
   }
   bench::Report::instance().add_table("pay_as_you_grow", table);
+  const double max_step = core::max_step_fraction(plan);
   char frac[16];
-  std::snprintf(frac, sizeof(frac), "%.0f%%", 100.0 * core::max_step_fraction(plan));
+  std::snprintf(frac, sizeof(frac), "%.0f%%", 100.0 * max_step);
   std::printf("largest single Quartz step: %s of the final spend\n", frac);
   bench::print_note(
       "the chassis path pays its biggest cost on day one; the Quartz "
       "path's spend tracks demand — §4.2's incremental-deployment claim");
+
+  const double chassis_day_one =
+      plan.front().chassis_cumulative_usd / plan.back().chassis_cumulative_usd;
+  QUARTZ_CHECK(max_step < 0.165, "no Quartz step spends more than ~16% of the final budget");
+  QUARTZ_CHECK(chassis_day_one > 2.0 * max_step,
+               "the chassis path's day-one outlay dwarfs any Quartz step");
+  for (const core::UpgradeStep& step : plan) {
+    QUARTZ_CHECK(step.quartz_cumulative_usd < step.chassis_cumulative_usd,
+                 "the Quartz path spends less than the chassis path at every step");
+  }
 }
 
 void report_fct() {
@@ -251,6 +321,21 @@ void report_fct() {
       "short transfers are latency-bound and see the full hop-count win; "
       "long transfers become serialization-bound and the fabrics converge "
       "— the paper's motivation for targeting latency-sensitive flows");
+
+  // 16 KB completes ~1.47x faster on Quartz; the win shrinks with every
+  // size until the serialization-bound 1 MB transfer is within 5%.
+  double previous = 0.0;
+  for (std::size_t i = 0; i < kbs.size(); ++i) {
+    QUARTZ_CHECK(fcts[2 * i] > 0.0 && fcts[2 * i + 1] > 0.0, "every transfer completes");
+    const double speedup = fcts[2 * i] / fcts[2 * i + 1];
+    if (i == 0) {
+      QUARTZ_CHECK(speedup > 1.4 && speedup < 1.55, "16 KB completes ~1.47x faster on Quartz");
+    } else {
+      QUARTZ_CHECK(speedup > 1.0 && speedup < previous, "the speedup shrinks with flow size");
+    }
+    previous = speedup;
+  }
+  QUARTZ_CHECK(previous < 1.05, "by 1 MB the fabrics converge");
 }
 
 void report_availability() {
@@ -276,6 +361,17 @@ void report_availability() {
       "resistance rather than bandwidth (every lightpath still crosses "
       "the same number of segments) — the steady-state complement to "
       "Fig. 6's fixed-failure-count view");
+
+  // At this failure rate no ring count partitions in any trial, and
+  // extra rings buy no bandwidth: every lightpath still crosses the same
+  // segments.
+  const double one_ring = avail_results.front().mean_bandwidth_availability;
+  for (const core::AvailabilityResult& r : avail_results) {
+    QUARTZ_CHECK(r.partition_minutes_per_year == 0.0, "no partition at 0.5 cuts/km/yr");
+    QUARTZ_CHECK(r.mean_bandwidth_availability > 0.9995 &&
+                     r.mean_bandwidth_availability <= one_ring,
+                 "extra rings do not raise bandwidth availability");
+  }
 }
 
 void report_scale_sensitivity() {
@@ -325,10 +421,18 @@ void report_scale_sensitivity() {
       "more pods push more traffic through the 6 us core, widening the "
       "gap; the quartz advantage is not an artifact of one simulated "
       "scale");
+
+  // scales[] pairs {2, 4} pods at 64 hosts, then at 128 hosts.
+  const auto reduction = [&means](std::size_t i) { return 1.0 - means[2 * i + 1] / means[2 * i]; };
+  QUARTZ_CHECK(reduction(1) > reduction(0) && reduction(3) > reduction(2),
+               "the gap widens with pod count at equal hosts");
+  QUARTZ_CHECK(std::lround(100.0 * reduction(0)) == 63 && std::lround(100.0 * reduction(3)) == 71,
+               "63% reduction at 64 hosts in 2 pods, 71% at 128 hosts in 4");
 }
 
-void report() {
-  bench::Report::instance().open("ablation", "Design-choice ablations");
+}  // namespace
+
+void quartz::bench::run_ablation() {
   report_vlb_sweep();
   report_spanning_tree();
   report_ring_scaling();
@@ -338,7 +442,3 @@ void report() {
   report_availability();
   report_scale_sensitivity();
 }
-
-}  // namespace
-
-QUARTZ_BENCH_MAIN(report)

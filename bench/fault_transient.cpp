@@ -1,10 +1,11 @@
-// Transient behaviour of a live Quartz mesh across a fiber cut (§3.5
-// made dynamic): cut -> detection blackhole -> self-healed two-hop
-// detours -> repair -> direct lightpaths again.  Reports time-bucketed
-// delivery latency percentiles and drop counts around the scripted
-// timeline, plus the recovery profile of a timeout-and-retry RPC
-// workload riding across the cut.  The bucketing and the fault-event
-// log both come from telemetry sinks attached to the network.
+// quartz_paper --figure=fault_transient: transient behaviour of a live
+// Quartz mesh across a fiber cut (§3.5 made dynamic): cut -> detection
+// blackhole -> self-healed two-hop detours -> repair -> direct
+// lightpaths again.  Reports time-bucketed delivery latency percentiles
+// and drop counts around the scripted timeline, plus the recovery
+// profile of a timeout-and-retry RPC workload riding across the cut.
+// The bucketing and the fault-event log both come from telemetry sinks
+// attached to the network.
 #include "report.hpp"
 
 #include <cstdint>
@@ -63,11 +64,7 @@ const char* phase_of(TimePs start) {
                                        : "healthy";
 }
 
-void report() {
-  bench::Report::instance().open(
-      "fault_transient",
-      "live fiber cut on an 8-switch Quartz mesh: cut, detect, reroute, repair");
-
+void report_fiber_cut() {
   const topo::BuiltTopology topo = make_fabric();
   routing::EcmpRouting routing(topo.graph);
   routing::EcmpOracle oracle(routing);
@@ -189,15 +186,6 @@ void report() {
        {"retries", rpc_load.total_retries()},
        {"rtt_p50_us", rpc_load.rtt_us().percentile(50)},
        {"rtt_p99_us", rpc_load.rtt_us().percentile(99)}});
-}
-
-void report_gray_failure();
-void report_flap_damping();
-
-void report_all() {
-  report();
-  report_gray_failure();
-  report_flap_damping();
 }
 
 // --- gray failures and flap damping (§3.5 made *partial*) -------------------
@@ -405,4 +393,8 @@ void report_flap_damping() {
 
 }  // namespace
 
-QUARTZ_BENCH_MAIN(report_all)
+void quartz::bench::run_fault_transient() {
+  report_fiber_cut();
+  report_gray_failure();
+  report_flap_damping();
+}

@@ -1,14 +1,17 @@
 // quartz_paper: regenerates one of the paper's evaluation tables or
-// figures per run and checks the claims EXPERIMENTS.md makes about it.
+// figures, or one of this repo's own studies, per run and checks the
+// claims EXPERIMENTS.md and docs/ make about it.
 //
 //   quartz_paper --figure=<id> [--report-dir=<dir>] [--no-report] [--jobs=<n>]
 //
-// Each figure is one {id, title, run} entry in kFigures.  run() prints
-// the reproduction (the rows/series the paper reports), records them
-// in BENCH_<id>.json, then QUARTZ_CHECKs every "Match" claim against
-// the values it just printed, so a change that breaks a figure fails
-// its `paper.<id>` ctest.  A missing or unknown --figure exits 1 and
-// lists the valid ids.
+// Each report is one {id, title, run} entry in kFigures: the paper's
+// figures are defined here, the studies (ablation, fault_transient,
+// scale, serve, snapshot, telemetry) in their own files under bench/.
+// run() prints the reproduction (the rows/series the paper reports),
+// records them in BENCH_<id>.json, then QUARTZ_CHECKs every claim
+// against the values it just printed, so a change that breaks one
+// fails its `paper.<id>` ctest.  A missing or unknown --figure exits 1
+// and lists the valid ids.
 #include "report.hpp"
 
 #include <algorithm>
@@ -774,6 +777,15 @@ const Figure kFigures[] = {
     {"fig20", "Average latency, pathological traffic pattern", fig20},
     {"table08", "Approximate cost and latency comparison", table08},
     {"table09", "Network structures with ~1k servers", table09},
+    {"ablation", "Design-choice ablations", bench::run_ablation},
+    {"fault_transient",
+     "live fiber cut on an 8-switch Quartz mesh: cut, detect, reroute, repair",
+     bench::run_fault_transient},
+    {"scale", "Hierarchical composed fabrics: 100k-switch hybrid simulation", bench::run_scale},
+    {"serve", "overload-safe service mode: admission, retry budgets, live regroom",
+     bench::run_serve},
+    {"snapshot", "Checkpoint pause, state density and recovery fidelity", bench::run_snapshot},
+    {"telemetry", "Binary event-stream cost and fidelity", bench::run_telemetry},
 };
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Shared scaffolding for the bench binaries.
+// Shared scaffolding for quartz_paper, the one report binary.
 //
-// quartz_paper regenerates the paper's tables and figures (one per
-// --figure) and the other binaries under bench/ run this repo's own
-// studies; each prints its reproduction (the same rows/series the
-// paper reports) and QUARTZ_CHECKs its acceptance bounds.  Speed is
-// judged elsewhere, by the bench/suite workloads against their
-// committed baselines.
+// Each `quartz_paper --figure=<id>` run regenerates one of the paper's
+// tables and figures, or one of this repo's own studies (the run_*
+// reports declared below, each in its own file under bench/); it
+// prints its reproduction (the same rows/series the paper reports)
+// and QUARTZ_CHECKs its acceptance bounds.  Speed is judged elsewhere,
+// by the bench/suite workloads against their committed baselines.
 //
 // Besides the console text, each run emits a machine-readable
 // BENCH_<id>.json capturing the reproduction rows and telemetry
@@ -16,13 +16,14 @@
 // Flags (anything else exits 1):
 //   --report-dir=<dir>   where BENCH_<id>.json is written (default ".")
 //   --no-report          skip writing the JSON artifact
-//   --jobs=<n>           worker threads for the binary's sweep loops
+//   --jobs=<n>           worker threads for the run's sweep loops
 //                        (sim::SweepRunner; 0 = all hardware threads,
 //                        default 1).  Results are byte-identical for
 //                        every value — jobs only changes wall-clock.
 // A report that cannot be written makes the binary exit 1.
 #pragma once
 
+#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +41,12 @@
 #include "telemetry/trace.hpp"
 
 namespace quartz::bench {
+
+/// Wall-clock seconds since `start`, for the studies that time
+/// themselves (reported beside the results, never checked exactly).
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
 
 inline void print_banner(const std::string& id, const std::string& title) {
   std::printf("\n================================================================\n");
@@ -98,7 +105,7 @@ class Report {
     return true;
   }
 
-  /// Worker threads for the binary's sweep loops (--jobs; 0 = all
+  /// Worker threads for the run's sweep loops (--jobs; 0 = all
   /// hardware threads).  Feed this to sim::SweepOptions::jobs.
   int jobs() const { return jobs_; }
 
@@ -238,15 +245,12 @@ class Report {
 
 inline void print_note(const std::string& note) { Report::instance().note(note); }
 
-/// Standard main body: parse the report flags, run the reproduction,
-/// then write the BENCH_<id>.json artifact (exit 1 if that fails).
-#define QUARTZ_BENCH_MAIN(report_fn)                                    \
-  int main(int argc, char** argv) {                                     \
-    if (!::quartz::bench::Report::instance().parse_args(argc, argv)) {  \
-      return 1;                                                         \
-    }                                                                   \
-    report_fn();                                                        \
-    return ::quartz::bench::Report::instance().write() ? 0 : 1;         \
-  }
+// The studies beyond the paper's figures, one quartz_paper entry each.
+void run_ablation();
+void run_fault_transient();
+void run_scale();
+void run_serve();
+void run_snapshot();
+void run_telemetry();
 
 }  // namespace quartz::bench

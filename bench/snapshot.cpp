@@ -1,6 +1,7 @@
-// Checkpoint cost model: what a .qsnap checkpoint costs the serve loop
-// (pause while the state serializes and hits disk), how big the state
-// is per switch, and that recovery is both fast and bit-exact.
+// quartz_paper --figure=snapshot: checkpoint cost model, what a .qsnap
+// checkpoint costs the serve loop (pause while the state serializes and
+// hits disk), how big the state is per switch, and that recovery is
+// both fast and bit-exact.
 //
 // Emits BENCH_snapshot.json with three machine-checked claims:
 //   * checkpoint_pause: wall-clock pause per periodic checkpoint of a
@@ -30,10 +31,6 @@
 namespace {
 
 using namespace quartz;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 /// A loaded operating point: the quartz_serve CLI's shape (hot shift,
 /// all defenses on) at an offered load near the knee.
@@ -78,9 +75,10 @@ double percentile(std::vector<double> sorted, double p) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
-void run_report() {
-  auto& report = quartz::bench::Report::instance();
-  report.open("snapshot", "Checkpoint pause, state density and recovery fidelity");
+}  // namespace
+
+void quartz::bench::run_snapshot() {
+  Report& report = Report::instance();
 
   const std::string dir = (std::filesystem::temp_directory_path() / "bench_snapshot_ckpt").string();
   std::filesystem::remove_all(dir);
@@ -103,7 +101,7 @@ void run_report() {
     loop.save_snapshot(writer);
     ++sequence;
     snapshot::write_file_atomic(snapshot::checkpoint_path(dir, sequence), writer, sequence);
-    pause_ms.push_back(seconds_since(t0) * 1e3);
+    pause_ms.push_back(bench::seconds_since(t0) * 1e3);
     snapshot_bytes = snapshot::file_bytes(writer, sequence).size();
   }
   const serve::ServeReport interrupted = loop.finish();
@@ -117,7 +115,7 @@ void run_report() {
   std::string warnings;
   const auto t_restore = std::chrono::steady_clock::now();
   const auto restored_sequence = recovered.restore_latest(dir, &warnings);
-  const double restore_ms = seconds_since(t_restore) * 1e3;
+  const double restore_ms = bench::seconds_since(t_restore) * 1e3;
   QUARTZ_CHECK(restored_sequence.has_value(), "no intact checkpoint to restore");
   QUARTZ_CHECK(warnings.empty(), "checkpoint scan warned: " + warnings);
   const serve::ServeReport resumed = recovered.finish();
@@ -171,7 +169,3 @@ void run_report() {
 
   std::filesystem::remove_all(dir);
 }
-
-}  // namespace
-
-QUARTZ_BENCH_MAIN(run_report)

@@ -5,33 +5,27 @@
 // the degraded fabric), then live (inject the cut into a running
 // simulation and watch detection, reroute and repair).
 //
-// Two optional drills cover the failures a fixed-delay liveness
-// detector cannot express: --gray ages a transceiver into a partially
-// corrupting lightpath, --flap oscillates one faster than detection
-// converges; both duel the probe-based HealthMonitor against the
-// fixed-delay baseline.
+// The failures a fixed-delay liveness detector cannot express (a
+// transceiver aging into a partially corrupting lightpath, a lightpath
+// flapping faster than detection converges) are dueled against the
+// probe-based HealthMonitor by `quartz_paper --figure=fault_transient`.
 //
-//   $ ./fault_drill [--switches=N] [--trials=N] [--metrics-out=FILE] [--gray] [--flap]
+//   $ ./fault_drill [--switches=N] [--trials=N] [--metrics-out=FILE]
 //   $ ./fault_drill 8 1000          # positional form still accepted
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <vector>
 
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "optical/budget.hpp"
-#include "routing/health_monitor.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
-#include "sim/fluid.hpp"
 #include "sim/network.hpp"
-#include "sim/probes.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sampler.hpp"
 #include "topo/failures.hpp"
@@ -51,28 +45,11 @@ bool parse_int_at_least(const char* text, int minimum, int* out) {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--switches=N>=4] [--trials=N>=1] [--metrics-out=FILE]"
-               " [--gray] [--flap]\n"
+               "usage: %s [--switches=N>=4] [--trials=N>=1] [--metrics-out=FILE]\n"
                "       %s [switches >= 4] [trials >= 1]\n"
-               "  --gray  drill a transceiver aging into partial corruption\n"
-               "  --flap  drill a lightpath flapping faster than detection\n",
+               "gray-failure and flap-damping duels: quartz_paper --figure=fault_transient\n",
                argv0, argv0);
   return 1;
-}
-
-struct DuelResult {
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t deaths = 0;
-  std::uint64_t damped = 0;
-  std::uint64_t lossy = 0;
-};
-
-quartz::topo::NodeId first_host(const quartz::topo::BuiltTopology& t, quartz::topo::NodeId sw) {
-  for (const auto& adj : t.graph.neighbors(sw)) {
-    if (t.graph.is_host(adj.peer)) return adj.peer;
-  }
-  return quartz::topo::kInvalidNode;
 }
 
 /// Sends `count` 400-byte packets between uniformly random host pairs,
@@ -100,60 +77,12 @@ class RandomPairs final : public quartz::sim::TimerHandler {
   quartz::Rng rng_;
 };
 
-/// One 2000-packet flow pinned across ring 0 segment 0, routed either
-/// by the probe-based HealthMonitor (monitored) or by the 500 us
-/// fixed-delay failure view; the caller injects the fault.
-DuelResult run_health_duel(
-    const quartz::topo::BuiltTopology& t, bool monitored, int dead_after_misses,
-    const std::function<void(quartz::sim::FaultScheduler&, quartz::topo::LinkId)>& inject) {
-  using namespace quartz;
-  routing::EcmpRouting ecmp(t.graph);
-  routing::EcmpOracle oracle(ecmp);
-  sim::SimConfig config;
-  if (!monitored) config.failure_detection_delay = microseconds(500);
-  sim::Network net(t, oracle, config);
-
-  routing::HealthMonitorConfig mc;
-  mc.dead_after_misses = dead_after_misses;
-  mc.hold_down = microseconds(200);
-  mc.hold_down_cap = milliseconds(20);
-  mc.flap_memory = milliseconds(10);
-  routing::HealthMonitor monitor(t.graph.link_count(), mc);
-  telemetry::FaultTimeline timeline;
-  net.add_sink(&timeline);
-  sim::ProbePlane::Options po;
-  po.interval = microseconds(10);
-  po.stop = milliseconds(120);
-  sim::ProbePlane probes(net, monitor, po);
-  if (monitored) {
-    oracle.attach_failure_view(&monitor.view());
-    oracle.attach_loss_view(&monitor);
-    probes.start();
-  } else {
-    oracle.attach_failure_view(&net.failure_view());
-  }
-
-  const topo::LinkId victim = topo::severed_links(t, {{0, 0}}).front();
-  const topo::Link& link = t.graph.link(victim);
-  const topo::NodeId src = first_host(t, link.a);
-  const topo::NodeId dst = first_host(t, link.b);
-  // One flow (stable hash): a 400-byte packet every 50 us, 2000 in all.
-  sim::CbrSource flow(net, {{src, dst, 64e6, bytes(400)}}, net.new_task({}), 0,
-                      microseconds(50) * 1'999, 99);
-  flow.arm();
-  sim::FaultScheduler faults(net);
-  inject(faults, victim);
-  net.run_until(milliseconds(200));
-  return {net.packets_delivered(), net.packets_dropped(), monitor.deaths(),
-          monitor.damped_recoveries(), timeline.lossy_detections()};
-}
-
 }  // namespace
 
 int run(int argc, char** argv) {
   using namespace quartz;
   const Flags flags = Flags::parse(argc, argv);
-  for (const auto& key : flags.unknown_keys({"switches", "trials", "metrics-out", "gray", "flap"})) {
+  for (const auto& key : flags.unknown_keys({"switches", "trials", "metrics-out"})) {
     std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
     return usage(argv[0]);
   }
@@ -284,83 +213,6 @@ int run(int argc, char** argv) {
       metrics.gauge("drill.mean_detection_lag_us").set(timeline.mean_detection_lag_us());
     }
   }
-  // Optional drills on the failures the fixed-delay detector cannot
-  // express.  They run on a packet-simulable fabric: the requested size
-  // when small enough, a representative 8-ring otherwise.
-  const int drill_switches = switches <= 16 ? switches : 8;
-  topo::QuartzRingParams drill_params;
-  drill_params.switches = drill_switches;
-  drill_params.hosts_per_switch = 2;
-
-  if (flags.get_bool("gray")) {
-    const topo::BuiltTopology fabric = topo::quartz_ring(drill_params);
-    optical::RingBudgetParams op;
-    op.ring_size = static_cast<std::size_t>(drill_switches);
-    op.transceiver = optical::TransceiverSpec::dwdm_10g();
-    op.mux = optical::MuxDemuxSpec::dwdm_80ch();
-    op.amplifier = optical::AmplifierSpec::edfa_80ch();
-    const optical::AmplifierPlan amp_plan = optical::plan_ring_amplifiers(op);
-    if (!amp_plan.feasible) {
-      std::fprintf(stderr, "optical budget for a %d-ring does not close\n", drill_switches);
-      return 1;
-    }
-    const double margin = optical::worst_case_margin_db(op, amp_plan);
-    const double drop_p = optical::degraded_drop_probability(op, amp_plan, margin + 2.5);
-    std::printf("\ngray-failure drill (%d-switch fabric):\n", drill_switches);
-    std::printf("  a transceiver ages 2.5 dB below sensitivity; the optical budget\n"
-                "  (margin %.2f dB -> Q -> BER) prices that at drop probability %.3f.\n",
-                margin, drop_p);
-    const auto inject = [drop_p](sim::FaultScheduler& faults, topo::LinkId victim) {
-      faults.schedule_transceiver_aging(milliseconds(5), victim, drop_p, milliseconds(120));
-    };
-    // 10-miss death so partial loss reads as lossy rather than dead.
-    const DuelResult blind = run_health_duel(fabric, false, 10, inject);
-    const DuelResult seen = run_health_duel(fabric, true, 10, inject);
-    std::printf("  fixed-delay detector (loss-blind): delivered %llu / 2000, corrupted %llu\n",
-                static_cast<unsigned long long>(blind.delivered),
-                static_cast<unsigned long long>(blind.dropped));
-    std::printf("  probe monitor: delivered %llu / 2000, corrupted %llu,"
-                " %llu lossy detections\n",
-                static_cast<unsigned long long>(seen.delivered),
-                static_cast<unsigned long long>(seen.dropped),
-                static_cast<unsigned long long>(seen.lossy));
-    std::printf("  the monitor reads the loss EWMA off its probes and deflects the\n"
-                "  flow onto clean two-hop detours; binary liveness never fires.\n");
-    if (metrics.enabled()) {
-      metrics.counter("drill.gray.blind_delivered").inc(blind.delivered);
-      metrics.counter("drill.gray.monitor_delivered").inc(seen.delivered);
-      metrics.counter("drill.gray.lossy_detections").inc(seen.lossy);
-    }
-  }
-
-  if (flags.get_bool("flap")) {
-    const topo::BuiltTopology fabric = topo::quartz_ring(drill_params);
-    std::printf("\nflapping-lightpath drill (%d-switch fabric):\n", drill_switches);
-    std::printf("  100 cycles of 300 us down / 200 us up against a 500 us detector.\n");
-    const auto inject = [](sim::FaultScheduler& faults, topo::LinkId victim) {
-      faults.schedule_flapping(milliseconds(5), victim, microseconds(300), microseconds(200),
-                               100);
-    };
-    const DuelResult fixed = run_health_duel(fabric, false, 3, inject);
-    const DuelResult damped = run_health_duel(fabric, true, 3, inject);
-    std::printf("  fixed-delay detector (undamped): delivered %llu / 2000, blackholed %llu\n",
-                static_cast<unsigned long long>(fixed.delivered),
-                static_cast<unsigned long long>(fixed.dropped));
-    std::printf("  probe monitor + damping: delivered %llu / 2000, dropped %llu\n"
-                "  (%llu deaths, %llu recoveries suppressed by the doubling hold-down)\n",
-                static_cast<unsigned long long>(damped.delivered),
-                static_cast<unsigned long long>(damped.dropped),
-                static_cast<unsigned long long>(damped.deaths),
-                static_cast<unsigned long long>(damped.damped));
-    std::printf("  damping pins the oscillating link dead so traffic rides stable\n"
-                "  detours instead of blackholing every down window.\n");
-    if (metrics.enabled()) {
-      metrics.counter("drill.flap.fixed_delivered").inc(fixed.delivered);
-      metrics.counter("drill.flap.damped_delivered").inc(damped.delivered);
-      metrics.counter("drill.flap.damped_recoveries").inc(damped.damped);
-    }
-  }
-
   if (metrics.enabled()) {
     const std::string path = flags.get("metrics-out");
     std::ofstream out(path);

@@ -1,12 +1,10 @@
 // Streaming and sample-based statistics used by the simulator and the
 // benchmark report generators: Welford running moments, percentile
-// estimation from retained samples, fixed-bin histograms and normal
-// confidence intervals (the paper reports 95% CIs for Fig. 14).
+// estimation from retained samples and normal confidence intervals
+// (the paper reports 95% CIs for Fig. 14).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -81,28 +79,6 @@ class SampleSet {
   // and assign() invalidate it.
   mutable std::vector<double> partitioned_;
   mutable bool partitioned_valid_ = false;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp
-/// into the edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_lower(std::size_t i) const;
-  double bin_upper(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
-  /// Render an ASCII bar chart (for example programs).
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_, bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace quartz

@@ -1,7 +1,7 @@
 // Column-aligned plain-text and CSV table rendering.
 //
-// The bench binaries reproduce the paper's tables and figure series; a
-// shared renderer keeps their output uniform and machine-parseable.
+// quartz_paper reproduces the paper's tables and figure series; a
+// shared renderer keeps its output uniform and machine-parseable.
 #pragma once
 
 #include <cstddef>

@@ -24,17 +24,6 @@ std::vector<std::vector<topo::NodeId>> chunk_hosts(const std::vector<topo::NodeI
 
 }  // namespace
 
-std::string fabric_under_test_name(FabricUnderTest fabric) {
-  switch (fabric) {
-    case FabricUnderTest::kFullBisection: return "full bisection";
-    case FabricUnderTest::kQuartz: return "quartz";
-    case FabricUnderTest::kQuartzDirectOnly: return "quartz (direct only)";
-    case FabricUnderTest::kHalfBisection: return "1/2 bisection";
-    case FabricUnderTest::kQuarterBisection: return "1/4 bisection";
-  }
-  return "unknown";
-}
-
 std::string throughput_pattern_name(ThroughputPattern pattern) {
   switch (pattern) {
     case ThroughputPattern::kPermutation: return "random permutation";

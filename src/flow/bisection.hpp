@@ -19,7 +19,6 @@ enum class FabricUnderTest {
 
 enum class ThroughputPattern { kPermutation, kIncast, kRackShuffle };
 
-std::string fabric_under_test_name(FabricUnderTest fabric);
 std::string throughput_pattern_name(ThroughputPattern pattern);
 
 struct BisectionParams {

@@ -293,11 +293,10 @@ class EventQueue {
   /// bit-exactly.  Rejects an unknown event-type byte.
   void restore(snapshot::Reader& r, const HandlerMap& handlers);
 
-  // Pool high-water marks, for the zero-allocation regression tests and
-  // bench_engine: once these plateau, scheduling stops allocating.
+  // Packet pool high-water mark, for the zero-allocation regression
+  // tests and the bench/suite engine metrics: once it plateaus,
+  // scheduling stops allocating packet slots.
   std::size_t packet_pool_capacity() const { return packets_.capacity(); }
-  std::size_t fault_pool_capacity() const { return faults_.capacity(); }
-  std::size_t timer_pool_capacity() const { return timers_.capacity(); }
 
  private:
   /// One pending event: tiers order these 32-byte records by

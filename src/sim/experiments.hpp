@@ -1,7 +1,7 @@
 // Ready-made experiment harnesses for the paper's simulation study.
 //
 // Each harness builds a fabric, attaches workloads, runs the DES and
-// returns summary statistics; the bench binaries sweep their parameters
+// returns summary statistics; quartz_paper sweeps their parameters
 // to regenerate the corresponding figure:
 //  * build_fabric / run_task_experiment — Fig. 17 (global scatter /
 //    gather / scatter-gather) and Fig. 18 (localized tasks);

@@ -142,22 +142,12 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
     events_.run_until(end);
   }
 
-  /// Run at most one event with time <= end (run_until at event
-  /// granularity, for checkpointing drivers); returns whether one ran.
-  bool step_until(TimePs end) {
-    assert_owning_thread();
-    return events_.run_one_until(end);
-  }
-
   /// Run every event with time STRICTLY below `end` and land now() on
   /// `end` — the conservative-window primitive (see sim/sharded.hpp).
   void run_before(TimePs end) {
     assert_owning_thread();
     events_.run_before(end);
   }
-
-  /// Land now() on `end` after step_until() is exhausted.
-  void settle(TimePs end) { events_.settle(end); }
 
   // --- sharding (sim/sharded.hpp drives these) -------------------------------
 

@@ -293,19 +293,20 @@ std::string checkpoint_path(const std::string& dir, std::uint64_t sequence) {
 }
 
 std::vector<std::byte> file_bytes(const Writer& writer, std::uint64_t sequence) {
-  std::vector<std::byte> out(kFileHeaderBytes, std::byte{0});
-  std::memcpy(out.data(), kFileMagic.data(), kFileMagic.size());
-  store_u32(out.data() + 8, kFormatVersion);
-  store_u64(out.data() + 16, sequence);
   const auto& body = writer.buffer();
-  out.insert(out.end(), body.begin(), body.end());
+  std::vector<std::byte> out(kFileHeaderBytes + body.size() + kChunkHeaderBytes, std::byte{0});
+  std::byte* at = out.data();
+  std::memcpy(at, kFileMagic.data(), kFileMagic.size());
+  store_u32(at + 8, kFormatVersion);
+  store_u64(at + 16, sequence);
+  at += kFileHeaderBytes;
+  if (!body.empty()) std::memcpy(at, body.data(), body.size());
+  at += body.size();
   // Terminating end chunk (empty payload): the marker validation
   // demands — a file cut short anywhere before this point is rejected
   // as torn.
-  std::byte end[kChunkHeaderBytes] = {};
-  store_u32(end, kEndChunk);
-  store_u32(end + 4, crc32(end, 0));
-  out.insert(out.end(), end, end + kChunkHeaderBytes);
+  store_u32(at, kEndChunk);
+  store_u32(at + 4, crc32(at, 0));
   return out;
 }
 

@@ -88,9 +88,10 @@ DecodeStats decode_jsonl(const std::vector<std::istream*>& files, std::ostream& 
 /// The canonical JSONL projection of the event stream: one compact
 /// JSON object per event, integer-picosecond times, only fields the
 /// binary stream preserves.  Fed from decode_streams() in production;
-/// tests and bench_telemetry also attach it to a live Network beside a
-/// BinaryStreamSink and require the decoded capture to match it byte
-/// for byte — the reference that pins the capture as lossless.
+/// tests and `quartz_paper --figure=telemetry` also attach it to a live
+/// Network beside a BinaryStreamSink and require the decoded capture to
+/// match it byte for byte — the reference that pins the capture as
+/// lossless.
 class JsonlEventWriter final : public TelemetrySink {
  public:
   explicit JsonlEventWriter(std::ostream& os) : os_(&os) {}

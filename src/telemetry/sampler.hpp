@@ -65,7 +65,6 @@ class PeriodicSampler final : public TelemetrySink {
   std::vector<BucketSummary> summaries() const;
 
   std::size_t bucket_count() const { return buckets_.size(); }
-  TimePs bucket_width() const { return options_.bucket; }
 
   /// t_ms,delivered,mean_us,p50_us,p99_us,queue_drops,link_down_drops,
   /// corrupted_drops,max_queue_wait_us — one row per bucket.

@@ -36,7 +36,18 @@ int add_quartz_mesh(Graph& graph, const std::vector<NodeId>& ring,
 
 namespace {
 
-std::string num(int v) { return std::to_string(v); }
+/// Append the parts of a node label into one string.  (GCC 12 raises
+/// false -Wrestrict warnings on "x" + std::to_string(v).)
+void append_part(std::string& out, const std::string& part) { out += part; }
+void append_part(std::string& out, const char* part) { out += part; }
+void append_part(std::string& out, int part) { out += std::to_string(part); }
+
+template <typename... Parts>
+std::string label(const Parts&... parts) {
+  std::string out;
+  (append_part(out, parts), ...);
+  return out;
+}
 
 /// Attach `count` hosts to a switch, all in the switch's rack.
 std::vector<NodeId> add_hosts(Graph& graph, BuiltTopology& topo, NodeId sw, int count,
@@ -45,7 +56,7 @@ std::vector<NodeId> add_hosts(Graph& graph, BuiltTopology& topo, NodeId sw, int 
   std::vector<NodeId> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int h = 0; h < count; ++h) {
-    const NodeId host = graph.add_host(prefix + "h" + num(h), rack);
+    const NodeId host = graph.add_host(label(prefix, "h", h), rack);
     graph.add_link(host, sw, rate, propagation);
     topo.hosts.push_back(host);
     out.push_back(host);
@@ -128,12 +139,12 @@ BuiltTopology two_tier_tree(const TwoTierParams& params) {
   const int agg_model = g.add_model(params.agg_model);
 
   for (int a = 0; a < params.aggs; ++a) {
-    topo.aggs.push_back(g.add_switch(agg_model, "agg" + num(a)));
+    topo.aggs.push_back(g.add_switch(agg_model, label("agg", a)));
   }
   for (int t = 0; t < params.tors; ++t) {
-    const NodeId tor = g.add_switch(tor_model, "tor" + num(t), t);
+    const NodeId tor = g.add_switch(tor_model, label("tor", t), t);
     topo.tors.push_back(tor);
-    topo.host_groups.push_back(add_hosts(g, topo, tor, params.hosts_per_tor, "t" + num(t),
+    topo.host_groups.push_back(add_hosts(g, topo, tor, params.hosts_per_tor, label("t", t),
                                          params.links.host_rate, params.links.host_propagation,
                                          t));
     for (NodeId agg : topo.aggs) {
@@ -156,13 +167,13 @@ BuiltTopology three_tier_tree(const ThreeTierParams& params) {
   const int core_model = g.add_model(params.core_model);
 
   for (int c = 0; c < params.cores; ++c) {
-    topo.cores.push_back(g.add_switch(core_model, "core" + num(c)));
+    topo.cores.push_back(g.add_switch(core_model, label("core", c)));
   }
   int rack = 0;
   for (int p = 0; p < params.pods; ++p) {
     std::vector<NodeId> pod_aggs;
     for (int a = 0; a < params.aggs_per_pod; ++a) {
-      const NodeId agg = g.add_switch(agg_model, "p" + num(p) + "agg" + num(a));
+      const NodeId agg = g.add_switch(agg_model, label("p", p, "agg", a));
       pod_aggs.push_back(agg);
       topo.aggs.push_back(agg);
       for (NodeId core : topo.cores) {
@@ -171,9 +182,9 @@ BuiltTopology three_tier_tree(const ThreeTierParams& params) {
     }
     std::vector<NodeId> pod_hosts;
     for (int t = 0; t < params.tors_per_pod; ++t) {
-      const NodeId tor = g.add_switch(tor_model, "p" + num(p) + "tor" + num(t), rack);
+      const NodeId tor = g.add_switch(tor_model, label("p", p, "tor", t), rack);
       topo.tors.push_back(tor);
-      auto hosts = add_hosts(g, topo, tor, params.hosts_per_tor, "p" + num(p) + "t" + num(t),
+      auto hosts = add_hosts(g, topo, tor, params.hosts_per_tor, label("p", p, "t", t),
                              params.links.host_rate, params.links.host_propagation, rack);
       pod_hosts.insert(pod_hosts.end(), hosts.begin(), hosts.end());
       ++rack;
@@ -196,12 +207,12 @@ BuiltTopology fat_tree_clos(const FatTreeParams& params) {
   const int spine_model = g.add_model(params.spine_model);
 
   for (int s = 0; s < params.spines; ++s) {
-    topo.aggs.push_back(g.add_switch(spine_model, "spine" + num(s)));
+    topo.aggs.push_back(g.add_switch(spine_model, label("spine", s)));
   }
   for (int l = 0; l < params.leaves; ++l) {
-    const NodeId leaf = g.add_switch(leaf_model, "leaf" + num(l), l);
+    const NodeId leaf = g.add_switch(leaf_model, label("leaf", l), l);
     topo.tors.push_back(leaf);
-    topo.host_groups.push_back(add_hosts(g, topo, leaf, params.hosts_per_leaf, "l" + num(l),
+    topo.host_groups.push_back(add_hosts(g, topo, leaf, params.hosts_per_leaf, label("l", l),
                                          params.links.host_rate, params.links.host_propagation,
                                          l));
     for (NodeId spine : topo.aggs) {
@@ -225,12 +236,12 @@ BuiltTopology bcube1(const BCubeParams& params) {
   // Level-0 switch i connects hosts (i, *); level-1 switch j connects
   // hosts (*, j).  Host (i, j) therefore has two NICs.
   std::vector<NodeId> level0, level1;
-  for (int i = 0; i < n; ++i) level0.push_back(g.add_switch(model, "L0-" + num(i), i));
-  for (int j = 0; j < n; ++j) level1.push_back(g.add_switch(model, "L1-" + num(j)));
+  for (int i = 0; i < n; ++i) level0.push_back(g.add_switch(model, label("L0-", i), i));
+  for (int j = 0; j < n; ++j) level1.push_back(g.add_switch(model, label("L1-", j)));
   for (int i = 0; i < n; ++i) {
     std::vector<NodeId> group;
     for (int j = 0; j < n; ++j) {
-      const NodeId host = g.add_host("h" + num(i) + "-" + num(j), i);
+      const NodeId host = g.add_host(label("h", i, "-", j), i);
       topo.hosts.push_back(host);
       group.push_back(host);
       g.add_link(host, level0[static_cast<std::size_t>(i)], params.links.host_rate,
@@ -259,11 +270,11 @@ BuiltTopology dcell1(const DCellParams& params) {
   const int cells = n + 1;
   std::vector<std::vector<NodeId>> cell_hosts(static_cast<std::size_t>(cells));
   for (int c = 0; c < cells; ++c) {
-    const NodeId sw = g.add_switch(model_index, "cell" + num(c), c);
+    const NodeId sw = g.add_switch(model_index, label("cell", c), c);
     topo.tors.push_back(sw);
     std::vector<NodeId> group;
     for (int s = 0; s < n; ++s) {
-      const NodeId host = g.add_host("c" + num(c) + "h" + num(s), c);
+      const NodeId host = g.add_host(label("c", c, "h", s), c);
       topo.hosts.push_back(host);
       group.push_back(host);
       g.add_link(host, sw, params.links.host_rate, params.links.host_propagation);
@@ -292,9 +303,9 @@ BuiltTopology jellyfish(const JellyfishParams& params) {
   Rng rng(params.seed);
 
   for (int s = 0; s < params.switches; ++s) {
-    const NodeId sw = g.add_switch(model, "sw" + num(s), s);
+    const NodeId sw = g.add_switch(model, label("sw", s), s);
     topo.tors.push_back(sw);
-    topo.host_groups.push_back(add_hosts(g, topo, sw, params.hosts_per_switch, "s" + num(s),
+    topo.host_groups.push_back(add_hosts(g, topo, sw, params.hosts_per_switch, label("s", s),
                                          params.links.host_rate, params.links.host_propagation,
                                          s));
   }
@@ -315,10 +326,10 @@ BuiltTopology quartz_ring(const QuartzRingParams& params) {
 
   std::vector<NodeId> ring;
   for (int s = 0; s < params.switches; ++s) {
-    const NodeId sw = g.add_switch(model, "q" + num(s), s);
+    const NodeId sw = g.add_switch(model, label("q", s), s);
     ring.push_back(sw);
     topo.tors.push_back(sw);
-    topo.host_groups.push_back(add_hosts(g, topo, sw, params.hosts_per_switch, "q" + num(s),
+    topo.host_groups.push_back(add_hosts(g, topo, sw, params.hosts_per_switch, label("q", s),
                                          params.links.host_rate, params.links.host_propagation,
                                          s));
   }
@@ -344,7 +355,7 @@ BuiltTopology quartz_in_core(const QuartzCoreParams& params) {
 
   std::vector<NodeId> ring;
   for (int s = 0; s < params.ring_switches; ++s) {
-    const NodeId sw = g.add_switch(ring_model, "qcore" + num(s));
+    const NodeId sw = g.add_switch(ring_model, label("qcore", s));
     ring.push_back(sw);
     topo.cores.push_back(sw);
   }
@@ -356,7 +367,7 @@ BuiltTopology quartz_in_core(const QuartzCoreParams& params) {
   for (int p = 0; p < tree.pods; ++p) {
     std::vector<NodeId> pod_aggs;
     for (int a = 0; a < tree.aggs_per_pod; ++a) {
-      const NodeId agg = g.add_switch(agg_model, "p" + num(p) + "agg" + num(a));
+      const NodeId agg = g.add_switch(agg_model, label("p", p, "agg", a));
       pod_aggs.push_back(agg);
       topo.aggs.push_back(agg);
       // Each agg had `cores` uplinks in the tree; keep the same uplink
@@ -370,9 +381,9 @@ BuiltTopology quartz_in_core(const QuartzCoreParams& params) {
     }
     std::vector<NodeId> pod_hosts;
     for (int t = 0; t < tree.tors_per_pod; ++t) {
-      const NodeId tor = g.add_switch(tor_model, "p" + num(p) + "tor" + num(t), rack);
+      const NodeId tor = g.add_switch(tor_model, label("p", p, "tor", t), rack);
       topo.tors.push_back(tor);
-      auto hosts = add_hosts(g, topo, tor, tree.hosts_per_tor, "p" + num(p) + "t" + num(t),
+      auto hosts = add_hosts(g, topo, tor, tree.hosts_per_tor, label("p", p, "t", t),
                              tree.links.host_rate, tree.links.host_propagation, rack);
       pod_hosts.insert(pod_hosts.end(), hosts.begin(), hosts.end());
       ++rack;
@@ -395,18 +406,18 @@ BuiltTopology quartz_in_edge(const QuartzEdgeParams& params) {
   const int core_model = g.add_model(params.core_model);
 
   for (int c = 0; c < params.cores; ++c) {
-    topo.cores.push_back(g.add_switch(core_model, "core" + num(c)));
+    topo.cores.push_back(g.add_switch(core_model, label("core", c)));
   }
   int rack = 0;
   for (int p = 0; p < params.pods; ++p) {
     std::vector<NodeId> ring;
     std::vector<NodeId> pod_hosts;
     for (int s = 0; s < params.ring_switches; ++s) {
-      const NodeId sw = g.add_switch(ring_model, "p" + num(p) + "q" + num(s), rack);
+      const NodeId sw = g.add_switch(ring_model, label("p", p, "q", s), rack);
       ring.push_back(sw);
       topo.tors.push_back(sw);
       auto hosts = add_hosts(g, topo, sw, params.hosts_per_ring_switch,
-                             "p" + num(p) + "q" + num(s), params.links.host_rate,
+                             label("p", p, "q", s), params.links.host_rate,
                              params.links.host_propagation, rack);
       pod_hosts.insert(pod_hosts.end(), hosts.begin(), hosts.end());
       ++rack;
@@ -432,7 +443,7 @@ BuiltTopology quartz_in_edge_and_core(const QuartzEdgeCoreParams& params) {
 
   std::vector<NodeId> core_ring;
   for (int s = 0; s < params.core_ring_switches; ++s) {
-    const NodeId sw = g.add_switch(ring_model, "qcore" + num(s));
+    const NodeId sw = g.add_switch(ring_model, label("qcore", s));
     core_ring.push_back(sw);
     topo.cores.push_back(sw);
   }
@@ -445,11 +456,11 @@ BuiltTopology quartz_in_edge_and_core(const QuartzEdgeCoreParams& params) {
     std::vector<NodeId> ring;
     std::vector<NodeId> pod_hosts;
     for (int s = 0; s < params.edge_ring_switches; ++s) {
-      const NodeId sw = g.add_switch(ring_model, "p" + num(p) + "q" + num(s), rack);
+      const NodeId sw = g.add_switch(ring_model, label("p", p, "q", s), rack);
       ring.push_back(sw);
       topo.tors.push_back(sw);
       auto hosts = add_hosts(g, topo, sw, params.hosts_per_ring_switch,
-                             "p" + num(p) + "q" + num(s), params.links.host_rate,
+                             label("p", p, "q", s), params.links.host_rate,
                              params.links.host_propagation, rack);
       pod_hosts.insert(pod_hosts.end(), hosts.begin(), hosts.end());
       ++rack;
@@ -480,10 +491,10 @@ BuiltTopology quartz_in_jellyfish(const QuartzJellyfishParams& params) {
     std::vector<NodeId> ring;
     std::vector<NodeId> ring_hosts;
     for (int s = 0; s < params.switches_per_ring; ++s) {
-      const NodeId sw = g.add_switch(model, "r" + num(r) + "q" + num(s), rack);
+      const NodeId sw = g.add_switch(model, label("r", r, "q", s), rack);
       ring.push_back(sw);
       topo.tors.push_back(sw);
-      auto hosts = add_hosts(g, topo, sw, params.hosts_per_switch, "r" + num(r) + "q" + num(s),
+      auto hosts = add_hosts(g, topo, sw, params.hosts_per_switch, label("r", r, "q", s),
                              params.links.host_rate, params.links.host_propagation, rack);
       ring_hosts.insert(ring_hosts.end(), hosts.begin(), hosts.end());
       ++rack;
@@ -524,15 +535,15 @@ BuiltTopology quartz_dual_tor(const QuartzDualTorParams& params) {
   // as the second plane for role bookkeeping).
   std::vector<NodeId> plane_a, plane_b;
   for (int r = 0; r < racks; ++r) {
-    const NodeId a = g.add_switch(model, "r" + num(r) + "A", r);
-    const NodeId b = g.add_switch(model, "r" + num(r) + "B", r);
+    const NodeId a = g.add_switch(model, label("r", r, "A"), r);
+    const NodeId b = g.add_switch(model, label("r", r, "B"), r);
     plane_a.push_back(a);
     plane_b.push_back(b);
     topo.tors.push_back(a);
     topo.tors.push_back(b);
     std::vector<NodeId> rack_hosts;
     for (int h = 0; h < params.hosts_per_rack; ++h) {
-      const NodeId host = g.add_host("r" + num(r) + "h" + num(h), r);
+      const NodeId host = g.add_host(label("r", r, "h", h), r);
       topo.hosts.push_back(host);
       rack_hosts.push_back(host);
       // Dual-homed: one NIC per plane.

@@ -104,8 +104,10 @@ std::string CompositeSpec::to_string() const {
     if (l > 0) out += 'x';
     out += std::to_string(dims[l]);
   }
-  if (hosts_per_switch > 0) out += "@" + std::to_string(hosts_per_switch);
-  if (modeled_hosts_per_switch > 0) out += "+" + std::to_string(modeled_hosts_per_switch);
+  if (hosts_per_switch > 0) out.append("@").append(std::to_string(hosts_per_switch));
+  if (modeled_hosts_per_switch > 0) {
+    out.append("+").append(std::to_string(modeled_hosts_per_switch));
+  }
   return out;
 }
 
@@ -219,7 +221,7 @@ class CompositeWriter {
   void leaf_ring() {
     const int m = spec_.dims.back();
     const int model = g_.add_model(params_.switch_model);
-    const std::string prefix = "L" + std::to_string(leaf_);
+    const std::string prefix = std::string("L").append(std::to_string(leaf_));
     const std::size_t first_host = out_.hosts.size();
     auto& ring = out_.quartz_rings.emplace_back();
     ring.reserve(static_cast<std::size_t>(m));
