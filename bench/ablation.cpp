@@ -357,10 +357,10 @@ void report_availability() {
   }
   bench::Report::instance().add_table("availability", table);
   bench::print_note(
-      "under a fixed failure *rate*, extra rings buy partition "
-      "resistance rather than bandwidth (every lightpath still crosses "
-      "the same number of segments) — the steady-state complement to "
-      "Fig. 6's fixed-failure-count view");
+      "under a fixed failure *rate*, extra rings buy no bandwidth (every "
+      "lightpath still crosses the same number of segments), and at this "
+      "rate no ring count partitions in any trial, one ring included — "
+      "the steady-state complement to Fig. 6's fixed-failure-count view");
 
   // At this failure rate no ring count partitions in any trial, and
   // extra rings buy no bandwidth: every lightpath still crosses the same

@@ -16,34 +16,31 @@ std::size_t directed_index(topo::LinkId link, int direction) {
 
 }  // namespace
 
-MaxMinSolver::MaxMinSolver(const topo::Graph& graph) {
-  line_count_ = graph.link_count() * 2;
-  capacity_.assign(line_count_, 0.0);
-  for (const auto& link : graph.links()) {
-    capacity_[directed_index(link.id, 0)] = link.rate;
-    capacity_[directed_index(link.id, 1)] = link.rate;
-  }
-  line_slot_.assign(line_count_, -1);
-  result_.line_used.assign(line_count_, 0.0);
+MaxMinSolver::MaxMinSolver(const topo::Graph& graph)
+    : graph_(&graph), line_slot_(graph.link_count() * 2) {
+  result_.line_used = ZeroArray<double>(graph.link_count() * 2);
 }
 
 const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
-                                        const std::vector<double>& initial_line_used) {
+                                        std::span<const double> initial_line_used) {
   // Clear the previous solve's footprint (O(previous footprint), not
   // O(total lines) — the property that makes per-epoch re-solves on a
   // warehouse-scale graph affordable).
   for (const std::size_t line : used_lines_) {
     result_.line_used[line] = 0.0;
-    line_slot_[line] = -1;
+    line_slot_[line] = 0;
   }
+  for (const std::size_t line : seeded_lines_) result_.line_used[line] = 0.0;
   used_lines_.clear();
+  seeded_lines_.clear();
   if (!initial_line_used.empty()) {
-    QUARTZ_REQUIRE(initial_line_used.size() == line_count_,
+    QUARTZ_REQUIRE(initial_line_used.size() == line_slot_.size(),
                    "initial_line_used size must match directed line count");
-    result_.line_used = initial_line_used;
-    for (std::size_t line = 0; line < line_count_; ++line) {
+    for (std::size_t line = 0; line < initial_line_used.size(); ++line) {
+      if (initial_line_used[line] == 0.0) continue;
       // Clamp tiny float overshoot so residual capacity is never negative.
-      result_.line_used[line] = std::min(result_.line_used[line], capacity_[line]);
+      result_.line_used[line] = std::min(initial_line_used[line], graph_->links()[line / 2].rate);
+      seeded_lines_.push_back(line);
     }
   }
 
@@ -63,13 +60,11 @@ const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
                      "route links/directions mismatch");
       for (std::size_t i = 0; i < route.links.size(); ++i) {
         const std::size_t line = directed_index(route.links[i], route.directions[i]);
-        std::int32_t slot = line_slot_[line];
-        if (slot < 0) {
-          slot = static_cast<std::int32_t>(used_lines_.size());
-          line_slot_[line] = slot;
+        if (line_slot_[line] == 0) {
           used_lines_.push_back(line);
+          line_slot_[line] = static_cast<std::uint32_t>(used_lines_.size());
         }
-        sub_lines_.push_back(slot);
+        sub_lines_.push_back(static_cast<std::int32_t>(line_slot_[line] - 1));
       }
       sub_flow_.push_back(f);
       sub_offset_.push_back(sub_lines_.size());
@@ -111,6 +106,12 @@ const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
   flow_active_subs_.assign(flows.size(), 0);
   for (const std::size_t f : sub_flow_) ++flow_active_subs_[f];
 
+  // The water level at which compact line `s` saturates.
+  const std::vector<topo::Link>& links = graph_->links();
+  const auto line_saturates_at = [&](std::size_t s) {
+    const double capacity = links[used_lines_[s] / 2].rate;
+    return (capacity - frozen_[s]) / static_cast<double>(active_count_[s]);
+  };
   const auto freeze_subflow = [&](std::size_t sub, double level) {
     sub_active_[sub] = 0;
     sub_rate_[sub] = level;
@@ -133,9 +134,7 @@ const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
     double next_level = std::numeric_limits<double>::infinity();
     for (std::size_t s = 0; s < slots; ++s) {
       if (active_count_[s] == 0) continue;
-      const double saturate_at =
-          (capacity_[used_lines_[s]] - frozen_[s]) / static_cast<double>(active_count_[s]);
-      next_level = std::min(next_level, saturate_at);
+      next_level = std::min(next_level, line_saturates_at(s));
     }
     for (std::size_t f = 0; f < flows.size(); ++f) {
       if (flow_active_subs_[f] == 0 || !std::isfinite(flows[f].demand)) continue;
@@ -154,10 +153,7 @@ const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
     // input permutation.
     bool froze_any = false;
     for (std::size_t s = 0; s < slots; ++s) {
-      if (active_count_[s] == 0) continue;
-      const double saturate_at =
-          (capacity_[used_lines_[s]] - frozen_[s]) / static_cast<double>(active_count_[s]);
-      if (saturate_at > tolerance) continue;
+      if (active_count_[s] == 0 || line_saturates_at(s) > tolerance) continue;
       for (std::size_t i = line_offset_[s]; i < line_offset_[s + 1]; ++i) {
         const auto sub = static_cast<std::size_t>(line_subs_[i]);
         if (!sub_active_[sub]) continue;
@@ -198,7 +194,7 @@ const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
 }
 
 MaxMinResult max_min_fair(const topo::Graph& graph, const std::vector<Flow>& flows,
-                          const std::vector<double>& initial_line_used) {
+                          std::span<const double> initial_line_used) {
   MaxMinSolver solver(graph);
   return solver.solve(flows, initial_line_used);
 }

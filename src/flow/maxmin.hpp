@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "common/zero_array.hpp"
 #include "topo/graph.hpp"
 
 namespace quartz::flow {
@@ -47,42 +49,49 @@ struct MaxMinResult {
   double aggregate = 0.0;  ///< sum of all flow rates
   /// Consumed capacity per directed line (link*2 + direction), bits/s;
   /// feed back into a second allocation stage as pre-consumed capacity.
-  std::vector<double> line_used;
+  /// Pages of lines no route crosses are never committed.
+  ZeroArray<double> line_used;
 };
 
 /// Waterfill `flows` over the capacity left after `initial_line_used`
 /// (empty = pristine network).
 MaxMinResult max_min_fair(const topo::Graph& graph, const std::vector<Flow>& flows,
-                          const std::vector<double>& initial_line_used = {});
+                          std::span<const double> initial_line_used = {});
 
-/// Reusable progressive-filling solver.  All working state lives in
-/// flat preallocated arrays indexed by a *compact* used-line numbering
-/// (only the directed lines the routes actually cross), so repeated
-/// solves on a warehouse-scale graph cost O(route footprint) per epoch
-/// rather than O(total lines) — the property sim::FluidBackground's
-/// epoch clock depends on.  Results are permutation-stable: flow rates
+/// Reusable progressive-filling solver.  The working state lives in flat
+/// arrays indexed by a *compact* used-line numbering (only the directed
+/// lines the routes actually cross), so repeated solves on a
+/// warehouse-scale graph cost O(route footprint) per epoch rather than
+/// O(total lines) — the property sim::FluidBackground's epoch clock
+/// depends on.  The two per-line arrays (the compact slot map and
+/// MaxMinResult::line_used) commit memory only for the lines a solve
+/// writes, and capacities are read from the graph, so constructing a
+/// solver fills nothing.  Results are permutation-stable: flow rates
 /// depend only on the set of (routes, demand), not input order, even
 /// through exact bottleneck ties (every tied subflow freezes in the
 /// same round at the same water level).
 class MaxMinSolver {
  public:
+  /// Keeps a reference to `graph`, which must outlive the solver.
   explicit MaxMinSolver(const topo::Graph& graph);
 
   /// Solve for `flows`; the returned reference stays valid until the
   /// next solve() on this instance.
   const MaxMinResult& solve(const std::vector<Flow>& flows,
-                            const std::vector<double>& initial_line_used = {});
+                            std::span<const double> initial_line_used = {});
 
   /// Directed lines touched by the most recent solve (compact order).
   const std::vector<std::size_t>& used_lines() const { return used_lines_; }
 
  private:
-  std::size_t line_count_ = 0;
-  std::vector<double> capacity_;  ///< per directed line
+  const topo::Graph* graph_;
 
   // Compact used-line index, rebuilt per solve without reallocating.
-  std::vector<std::int32_t> line_slot_;    ///< directed line -> compact slot, -1 unused
+  ZeroArray<std::uint32_t> line_slot_;     ///< directed line -> compact slot + 1, 0 unused
   std::vector<std::size_t> used_lines_;    ///< compact slot -> directed line
+  /// Lines the last solve seeded from a non-zero initial_line_used
+  /// entry; the next solve clears them along with used_lines_.
+  std::vector<std::size_t> seeded_lines_;
 
   // CSR: subflow -> compact lines, and compact line -> subflows.
   std::vector<std::int32_t> sub_lines_;

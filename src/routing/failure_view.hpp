@@ -13,8 +13,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/check.hpp"
+#include "common/zero_array.hpp"
 #include "topo/graph.hpp"
 
 namespace quartz::routing {
@@ -67,12 +68,13 @@ class FailureView {
 
   /// (Re)size to the topology's link count; all links start alive.
   void resize(std::size_t links) {
-    dead_.assign(links, 0);
+    dead_ = ZeroArray<char>(links);
     ++epoch_;
   }
 
   void set_dead(topo::LinkId link, bool dead) {
-    char& slot = dead_.at(static_cast<std::size_t>(link));
+    QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < dead_.size(), "unknown link");
+    char& slot = dead_[static_cast<std::size_t>(link)];
     const char next = dead ? 1 : 0;
     if (slot == next) return;  // no knowledge change, no invalidation
     slot = next;
@@ -98,7 +100,7 @@ class FailureView {
   std::uint64_t epoch() const { return epoch_; }
 
  private:
-  std::vector<char> dead_;
+  ZeroArray<char> dead_;  ///< commits a page only when a link in it dies
   std::uint64_t epoch_ = 0;
 };
 

@@ -28,7 +28,8 @@ FluidBackground::FluidBackground(Network& net, const routing::RoutingOracle& ora
       oracle_(&oracle),
       demands_(std::move(demands)),
       params_(params),
-      solver_(net.graph()) {
+      solver_(net.graph()),
+      bias_(net.graph().link_count() * 2) {
   QUARTZ_REQUIRE(params_.epoch > 0, "fluid epoch must be positive");
   QUARTZ_REQUIRE(params_.max_utilization > 0.0 && params_.max_utilization < 1.0,
                  "max_utilization must be in (0, 1)");
@@ -38,7 +39,6 @@ FluidBackground::FluidBackground(Network& net, const routing::RoutingOracle& ora
     QUARTZ_REQUIRE(d.src != d.dst, "fluid demand endpoints must differ");
     QUARTZ_REQUIRE(d.rate_bps > 0.0, "fluid demand rate must be positive");
   }
-  bias_.assign(net.graph().link_count() * 2, 0);
   net_->set_queue_bias(&bias_);
 }
 

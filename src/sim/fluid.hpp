@@ -52,7 +52,7 @@ struct FluidParams {
 
 /// Evolves background demands as fluid flows and feeds the resulting
 /// per-line queueing bias into a Network.  Construction attaches the
-/// bias vector (Network::set_queue_bias); destruction detaches it.
+/// bias array (Network::set_queue_bias); destruction detaches it.
 /// Thread-confined with its network.
 class FluidBackground final : public TimerHandler {
  public:
@@ -80,8 +80,8 @@ class FluidBackground final : public TimerHandler {
   std::uint64_t digest() const { return digest_; }
   /// Background aggregate throughput (bits/s) from the latest solve.
   double aggregate_bps() const { return aggregate_; }
-  /// The live bias vector (picoseconds per directed line).
-  const std::vector<TimePs>& bias() const { return bias_; }
+  /// The live bias array (picoseconds per directed line).
+  const ZeroArray<TimePs>& bias() const { return bias_; }
 
   /// Serialize the fluid state (epoch count, digest, non-zero biases).
   /// The pending epoch timer rides the engine snapshot; the restoring
@@ -104,7 +104,8 @@ class FluidBackground final : public TimerHandler {
   std::uint64_t routes_epoch_ = 0;
   bool routes_valid_ = false;
 
-  std::vector<TimePs> bias_;
+  /// Commits only the pages of lines the background has ever biased.
+  ZeroArray<TimePs> bias_;
   std::vector<std::size_t> biased_lines_;  ///< lines with non-zero bias
   std::uint64_t epochs_ = 0;
   std::uint64_t digest_ = 14695981039346656037ull;

@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
@@ -28,6 +29,13 @@ double hashed_corruption_u01(std::uint64_t seed, std::uint64_t id, std::uint64_t
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
+/// Overwrite `slot` only when `value` differs from it byte for byte, so
+/// restoring zeros into a fresh network's ZeroArrays commits no page.
+template <class T>
+void store_if_changed(T& slot, const T& value) {
+  if (std::memcmp(&slot, &value, sizeof(T)) != 0) slot = value;
+}
+
 }  // namespace
 
 Network::Network(const topo::BuiltTopology& topo, const routing::RoutingOracle& oracle,
@@ -35,12 +43,12 @@ Network::Network(const topo::BuiltTopology& topo, const routing::RoutingOracle& 
     : topo_(&topo),
       oracle_(&oracle),
       config_(config),
-      line_busy_(topo.graph.link_count() * 2, 0),
-      line_active_(topo.graph.link_count() * 2, 0),
-      line_bits_(topo.graph.link_count() * 2, 0),
-      link_up_(topo.graph.link_count(), 1),
-      link_seq_(topo.graph.link_count(), 0),
-      link_loss_(topo.graph.link_count(), 0.0),
+      line_busy_(topo.graph.link_count() * 2),
+      line_active_(topo.graph.link_count() * 2),
+      line_bits_(topo.graph.link_count() * 2),
+      link_down_(topo.graph.link_count()),
+      link_seq_(topo.graph.link_count()),
+      link_loss_(topo.graph.link_count()),
       loss_rng_(config.corruption_seed),
       failure_view_(topo.graph.link_count()) {
   events_.set_handler(this);
@@ -89,10 +97,11 @@ void Network::bind_shard(const ShardBinding& binding) {
 }
 
 void Network::fail_link(topo::LinkId link) {
-  QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_up_.size(), "unknown link");
-  auto& up = link_up_[static_cast<std::size_t>(link)];
-  if (!up) return;
-  up = 0;
+  QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_down_.size(),
+                 "unknown link");
+  char& down = link_down_[static_cast<std::size_t>(link)];
+  if (down) return;
+  down = 1;
   ++link_failures_;
   emit_link(link, [&](auto& sink) { sink.on_link_state(link, /*up=*/false, now()); });
   const std::uint32_t seq = ++link_seq_[static_cast<std::size_t>(link)];
@@ -103,10 +112,11 @@ void Network::fail_link(topo::LinkId link) {
 }
 
 void Network::repair_link(topo::LinkId link) {
-  QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_up_.size(), "unknown link");
-  auto& up = link_up_[static_cast<std::size_t>(link)];
-  if (up) return;
-  up = 1;
+  QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_down_.size(),
+                 "unknown link");
+  char& down = link_down_[static_cast<std::size_t>(link)];
+  if (!down) return;
+  down = 0;
   ++link_repairs_;
   emit_link(link, [&](auto& sink) { sink.on_link_state(link, /*up=*/true, now()); });
   const std::uint32_t seq = ++link_seq_[static_cast<std::size_t>(link)];
@@ -122,8 +132,9 @@ void Network::on_fault_event(const FaultEvent& event) {
 }
 
 bool Network::link_up(topo::LinkId link) const {
-  QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_up_.size(), "unknown link");
-  return link_up_[static_cast<std::size_t>(link)] != 0;
+  QUARTZ_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_down_.size(),
+                 "unknown link");
+  return link_down_[static_cast<std::size_t>(link)] == 0;
 }
 
 void Network::set_link_loss(topo::LinkId link, double p) {
@@ -334,7 +345,7 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
   // Transmitting onto a dead link loses the packet — the oracle only
   // learns of the failure after the detection delay, so this is the
   // blackhole window §3.5's static analysis cannot show.
-  if (!link_up_[static_cast<std::size_t>(link_id)]) {
+  if (link_down_[static_cast<std::size_t>(link_id)]) {
     drop(packet, DropReason::kLinkDown);
     return;
   }
@@ -391,12 +402,12 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
 }
 
 void Network::save(snapshot::Writer& w, const HandlerMap& handlers) const {
-  const std::size_t links = link_up_.size();
+  const std::size_t links = link_down_.size();
   w.put_u64(links);
   for (std::size_t i = 0; i < links * 2; ++i) w.put_i64(line_busy_[i]);
   for (std::size_t i = 0; i < links * 2; ++i) w.put_i64(line_active_[i]);
   for (std::size_t i = 0; i < links * 2; ++i) w.put_i64(line_bits_[i]);
-  for (std::size_t i = 0; i < links; ++i) w.put_u8(static_cast<std::uint8_t>(link_up_[i]));
+  for (std::size_t i = 0; i < links; ++i) w.put_u8(link_down_[i] ? 0 : 1);  // the "up" byte
   for (std::size_t i = 0; i < links; ++i) w.put_u32(link_seq_[i]);
   for (std::size_t i = 0; i < links; ++i) w.put_f64(link_loss_[i]);
   w.put_rng(loss_rng_);
@@ -423,15 +434,19 @@ void Network::save(snapshot::Writer& w, const HandlerMap& handlers) const {
 
 void Network::restore(snapshot::Reader& r, const HandlerMap& handlers) {
   assert_owning_thread();
-  const std::size_t links = link_up_.size();
+  const std::size_t links = link_down_.size();
   QUARTZ_REQUIRE(r.get_u64() == links,
                  "snapshot topology does not match this network");
-  for (std::size_t i = 0; i < links * 2; ++i) line_busy_[i] = r.get_i64();
-  for (std::size_t i = 0; i < links * 2; ++i) line_active_[i] = r.get_i64();
-  for (std::size_t i = 0; i < links * 2; ++i) line_bits_[i] = r.get_i64();
-  for (std::size_t i = 0; i < links; ++i) link_up_[i] = static_cast<char>(r.get_u8());
-  for (std::size_t i = 0; i < links; ++i) link_seq_[i] = r.get_u32();
-  for (std::size_t i = 0; i < links; ++i) link_loss_[i] = r.get_f64();
+  // Only saved values that differ from the fresh state are stored, so a
+  // restore commits the pages the saved run had written and no others.
+  for (std::size_t i = 0; i < links * 2; ++i) store_if_changed(line_busy_[i], r.get_i64());
+  for (std::size_t i = 0; i < links * 2; ++i) store_if_changed(line_active_[i], r.get_i64());
+  for (std::size_t i = 0; i < links * 2; ++i) store_if_changed(line_bits_[i], r.get_i64());
+  for (std::size_t i = 0; i < links; ++i) {
+    store_if_changed(link_down_[i], static_cast<char>(r.get_u8() == 0 ? 1 : 0));
+  }
+  for (std::size_t i = 0; i < links; ++i) store_if_changed(link_seq_[i], r.get_u32());
+  for (std::size_t i = 0; i < links; ++i) store_if_changed(link_loss_[i], r.get_f64());
   r.get_rng(loss_rng_);
   // Replaying the dead bits through set_dead rebuilds the view; the
   // epoch value itself need not match the saved run — consumers only

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/zero_array.hpp"
 #include "routing/oracle.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/mailbox.hpp"
@@ -246,7 +247,7 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   const routing::Fib* fib() const { return fib_; }
 
   /// Attach per-directed-line queueing bias (picoseconds per line,
-  /// indexed link*2 + direction; nullptr detaches).  The vector is the
+  /// indexed link*2 + direction; nullptr detaches).  The array is the
   /// hybrid fluid/packet coupling point: sim::FluidBackground owns it
   /// and rewrites it each epoch, and the simulator adds the bias to a
   /// packet's output-port readiness in transmit() and to queue_delay(),
@@ -254,8 +255,8 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   /// background's packets existing.  Must be sized 2*link_count and
   /// outlive its attachment.  Not serialized: the owner re-attaches and
   /// restores it (see FluidBackground::save/restore).
-  void set_queue_bias(const std::vector<TimePs>* bias) { queue_bias_ = bias; }
-  const std::vector<TimePs>* queue_bias() const { return queue_bias_; }
+  void set_queue_bias(const ZeroArray<TimePs>* bias) { queue_bias_ = bias; }
+  const ZeroArray<TimePs>* queue_bias() const { return queue_bias_; }
   std::uint64_t link_failures() const { return link_failures_; }
   std::uint64_t link_repairs() const { return link_repairs_; }
 
@@ -327,22 +328,26 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   const topo::BuiltTopology* topo_;
   const routing::RoutingOracle* oracle_;
   routing::Fib* fib_ = nullptr;
-  const std::vector<TimePs>* queue_bias_ = nullptr;
+  const ZeroArray<TimePs>* queue_bias_ = nullptr;
   SimConfig config_;
   EventQueue events_;
+  // Per-line and per-link state starts all zero and commits a page only
+  // when a line in it is first written (common/zero_array.hpp), so a
+  // warehouse-scale fabric pays for the lines that carry traffic.
   /// busy-until per (link, direction); direction 0 is a->b.
-  std::vector<TimePs> line_busy_;
+  ZeroArray<TimePs> line_busy_;
   /// accumulated transmitting time and bits per (link, direction).
-  std::vector<TimePs> line_active_;
-  std::vector<Bits> line_bits_;
-  /// Physical per-link liveness and a state sequence number bumped on
-  /// every fail/repair: in-flight packets carry the sequence observed
-  /// at transmission and are dropped when it changed under them; it
-  /// also guards the delayed FailureView updates against stale events.
-  std::vector<char> link_up_;
-  std::vector<std::uint32_t> link_seq_;
+  ZeroArray<TimePs> line_active_;
+  ZeroArray<Bits> line_bits_;
+  /// Physical per-link failure (0 = up) and a state sequence number
+  /// bumped on every fail/repair: in-flight packets carry the sequence
+  /// observed at transmission and are dropped when it changed under
+  /// them; it also guards the delayed FailureView updates against
+  /// stale events.
+  ZeroArray<char> link_down_;
+  ZeroArray<std::uint32_t> link_seq_;
   /// Per-link gray-failure drop probability (0 = clean).
-  std::vector<double> link_loss_;
+  ZeroArray<double> link_loss_;
   /// Corruption sampling stream (seeded; deterministic per run).
   Rng loss_rng_;
   routing::FailureView failure_view_;

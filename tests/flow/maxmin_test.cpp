@@ -295,6 +295,30 @@ TEST(MaxMinSolver, UsedLinesCoverOnlyTheRouteFootprint) {
   }
 }
 
+TEST(MaxMinSolver, NextSolveForgetsPreConsumedCapacity) {
+  // A solve seeded with pre-consumed capacity on lines its own routes do
+  // not cross must leave none of it behind for the next, unseeded solve.
+  const auto t = dumbbell();
+  Flow first;
+  first.src = t.host_groups[0][0];
+  first.dst = t.host_groups[1][0];
+  first.routes = {shortest_route(t.graph, first.src, first.dst)};
+  Flow second;
+  second.src = t.host_groups[0][1];
+  second.dst = t.host_groups[1][1];
+  second.routes = {shortest_route(t.graph, second.src, second.dst)};
+  const auto stage1 = max_min_fair(t.graph, {first});
+
+  MaxMinSolver solver(t.graph);
+  const auto& seeded = solver.solve({second}, stage1.line_used);
+  EXPECT_NEAR(seeded.flow_rate[0], 0.0, 1.0);  // the shared mesh link is full
+  const auto& fresh = solver.solve({second});
+  EXPECT_NEAR(fresh.flow_rate[0], 1e10, 1e3);
+  double used = 0;
+  for (const double u : fresh.line_used) used += u;
+  EXPECT_NEAR(used, 3e10, 10);  // the second flow's three lines only
+}
+
 class MaxMinInvariantSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 

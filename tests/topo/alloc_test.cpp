@@ -9,44 +9,15 @@
 // a label prefix and a ring list each), not with the switches.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 
+#include "support/counting_new.hpp"
 #include "topo/composite.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-std::uint64_t alloc_count() { return g_alloc_count.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  const std::size_t al = std::max(static_cast<std::size_t>(align), sizeof(void*));
-  if (posix_memalign(&p, al, size ? size : 1) == 0) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace quartz::topo {
 namespace {
+
+using test::alloc_count;
 
 TEST(TopoAllocation, CompositeBuildDoesNotAllocatePerNode) {
   const CompositeSpec spec = *CompositeSpec::parse("ring-of-rings:16x16x16");
