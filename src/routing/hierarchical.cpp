@@ -1,6 +1,8 @@
 #include "routing/hierarchical.hpp"
 
 #include <algorithm>
+#include <ranges>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -12,45 +14,14 @@ namespace {
 constexpr topo::LinkId kUncomputed = -2;
 }  // namespace
 
-HierOracle::HierOracle(const topo::BuiltTopology& topo) : topo_(&topo) {
+HierOracle::HierOracle(const topo::BuiltTopology& topo) : graph_(&topo.graph) {
   QUARTZ_REQUIRE(topo.composite != nullptr, "HierOracle needs composite metadata");
   meta_ = topo.composite.get();
   QUARTZ_REQUIRE(meta_->uniform, "HierOracle needs uniform (rings-of-rings) metadata");
   levels_ = meta_->levels();
   leaf_size_ = meta_->arity.back();
-  groups_ = meta_->group_universe();
   QUARTZ_REQUIRE(levels_ >= 2, "composite metadata must carry at least two levels");
-
-  const topo::Graph& g = topo_->graph;
-  const std::size_t nodes = g.node_count();
-  attach_.assign(nodes, topo::kInvalidNode);
-  uplink_.assign(nodes, topo::kInvalidLink);
-  for (const auto& node : g.nodes()) {
-    if (node.kind != topo::NodeKind::kHost) continue;
-    for (const auto& adj : g.neighbors(node.id)) {
-      if (g.is_switch(adj.peer)) {
-        attach_[static_cast<std::size_t>(node.id)] = adj.peer;
-        uplink_[static_cast<std::size_t>(node.id)] = adj.link;
-        break;
-      }
-    }
-    QUARTZ_REQUIRE(attach_[static_cast<std::size_t>(node.id)] != topo::kInvalidNode,
-                   "host without switch attachment");
-  }
-
-  // Leaf full-mesh matrix: only intra-leaf WDM links land here.
-  mesh_.assign(nodes * static_cast<std::size_t>(leaf_size_), topo::kInvalidLink);
-  for (const auto& link : g.links()) {
-    if (link.wdm_channel < 0) continue;
-    if (!g.is_switch(link.a) || !g.is_switch(link.b)) continue;
-    if (meta_->divergence_level(link.a, link.b) != levels_ - 1) continue;
-    mesh_[static_cast<std::size_t>(link.a) * static_cast<std::size_t>(leaf_size_) +
-          static_cast<std::size_t>(meta_->path_at(link.b, levels_ - 1))] = link.id;
-    mesh_[static_cast<std::size_t>(link.b) * static_cast<std::size_t>(leaf_size_) +
-          static_cast<std::size_t>(meta_->path_at(link.a, levels_ - 1))] = link.id;
-  }
-
-  fib_base_.assign(nodes, -1);
+  fib_base_.assign(graph_->node_count(), -1);
   fib_epoch_ = state_epoch();
 }
 
@@ -64,12 +35,6 @@ void HierOracle::ensure_epoch() const {
   }
 }
 
-std::int32_t HierOracle::group_of(topo::NodeId node, topo::NodeId dst) const {
-  const topo::NodeId target =
-      topo_->graph.is_host(dst) ? attach_[static_cast<std::size_t>(dst)] : dst;
-  return meta_->group_of(node, target);
-}
-
 topo::LinkId HierOracle::compute(topo::NodeId node, std::int32_t group) const {
   // Decode (level, coordinate) from the group id.
   int level = levels_ - 1;
@@ -81,11 +46,7 @@ topo::LinkId HierOracle::compute(topo::NodeId node, std::int32_t group) const {
   }
   const std::int32_t coord = group - meta_->level_offset[static_cast<std::size_t>(level)];
 
-  if (level == levels_ - 1) {
-    // Same leaf ring: the direct mesh link.
-    return mesh_[static_cast<std::size_t>(node) * static_cast<std::size_t>(leaf_size_) +
-                 static_cast<std::size_t>(coord)];
-  }
+  if (level == levels_ - 1) return meta_->leaf_mesh_link(node, coord);  // same leaf ring
   // Cross-element: take the recorded trunk if this switch is its
   // gateway, otherwise chain toward the gateway (strictly deeper
   // divergence level, so the recursion terminates at the leaf mesh).
@@ -93,16 +54,15 @@ topo::LinkId HierOracle::compute(topo::NodeId node, std::int32_t group) const {
   const topo::TrunkEntry& trunk =
       meta_->trunk(level, parent, meta_->path_at(node, level), coord);
   if (trunk.gateway == node) return trunk.link;
-  return lookup(node, trunk.gateway);
+  return lookup(node, meta_->group_of(node, trunk.gateway));
 }
 
-topo::LinkId HierOracle::lookup(topo::NodeId node, topo::NodeId target) const {
-  const std::int32_t group = meta_->group_of(node, target);
+topo::LinkId HierOracle::lookup(topo::NodeId node, std::int32_t group) const {
   QUARTZ_CHECK(group >= 0, "lookup target co-located with node");
   std::int64_t& base = fib_base_[static_cast<std::size_t>(node)];
   if (base < 0) {
     base = static_cast<std::int64_t>(arena_.size());
-    arena_.resize(arena_.size() + static_cast<std::size_t>(groups_), kUncomputed);
+    arena_.resize(arena_.size() + static_cast<std::size_t>(meta_->group_universe()), kUncomputed);
     ++stats_.arenas;
   }
   const std::size_t at =
@@ -121,30 +81,27 @@ topo::LinkId HierOracle::lookup(topo::NodeId node, topo::NodeId target) const {
 }
 
 topo::LinkId HierOracle::next_link(topo::NodeId node, FlowKey& key) const {
-  const topo::Graph& g = topo_->graph;
-  if (g.is_host(node)) return uplink_[static_cast<std::size_t>(node)];
+  const topo::Graph& g = *graph_;
+  if (g.is_host(node)) return meta_->uplink(node);
   ensure_epoch();
 
   topo::LinkId primary = topo::kInvalidLink;
   for (int guard = 0; guard < 2 * levels_ + 2; ++guard) {
-    topo::NodeId target;
-    if (key.via != topo::kInvalidNode) {
-      if (key.via == node) {
-        key.via = topo::kInvalidNode;
-        continue;
-      }
-      target = key.via;
-    } else {
-      target = g.is_host(key.dst) ? attach_[static_cast<std::size_t>(key.dst)] : key.dst;
-      if (target == node) {
-        // Arrived at the attachment switch: deliver on the host port
-        // (or stop, for switch destinations used by route extraction).
-        return g.is_host(key.dst) ? uplink_[static_cast<std::size_t>(key.dst)]
-                                  : topo::kInvalidLink;
-      }
+    if (key.via == node) {
+      key.via = topo::kInvalidNode;
+      continue;
+    }
+    // A host carries its attachment switch's path, so it routes as that
+    // switch would.
+    const topo::NodeId target = key.via != topo::kInvalidNode ? key.via : key.dst;
+    const std::int32_t group = meta_->group_of(node, target);
+    if (group < 0) {
+      // At the destination's switch: deliver on the host port (or stop,
+      // for switch destinations used by route extraction).
+      return g.is_host(key.dst) ? meta_->uplink(key.dst) : topo::kInvalidLink;
     }
 
-    primary = lookup(node, target);
+    primary = lookup(node, group);
     if (primary == topo::kInvalidLink || !link_soft_failed(primary)) return primary;
     if (key.vlb_done) return primary;  // healing budget spent
 
@@ -154,33 +111,22 @@ topo::LinkId HierOracle::next_link(topo::NodeId node, FlowKey& key) const {
       // switch with both legs alive (§3.5, per level).
       const std::int32_t me = meta_->path_at(node, level);
       const std::int32_t to = meta_->path_at(target, level);
-      const std::int64_t leaf = meta_->leaf_index(node);
-      const std::size_t row =
-          static_cast<std::size_t>(node) * static_cast<std::size_t>(leaf_size_);
-      std::vector<std::int32_t> options;
-      options.reserve(static_cast<std::size_t>(leaf_size_));
-      for (std::int32_t w = 0; w < leaf_size_; ++w) {
-        if (w == me || w == to) continue;
-        const topo::NodeId mid =
-            meta_->leaf_members[static_cast<std::size_t>(leaf) *
-                                    static_cast<std::size_t>(leaf_size_) +
-                                static_cast<std::size_t>(w)];
-        const topo::LinkId first = mesh_[row + static_cast<std::size_t>(w)];
-        const topo::LinkId second =
-            mesh_[static_cast<std::size_t>(mid) * static_cast<std::size_t>(leaf_size_) +
-                  static_cast<std::size_t>(to)];
-        if (first == topo::kInvalidLink || second == topo::kInvalidLink) continue;
-        if (link_soft_failed(first) || link_soft_failed(second)) continue;
-        options.push_back(w);
-      }
-      if (options.empty()) return primary;
-      const std::int32_t w = options[hash_select(
-          key.flow_hash, static_cast<std::uint64_t>(node), options.size())];
-      key.via = meta_->leaf_members[static_cast<std::size_t>(leaf) *
-                                        static_cast<std::size_t>(leaf_size_) +
-                                    static_cast<std::size_t>(w)];
+      const auto members = std::span(meta_->leaf_members)
+                               .subspan(static_cast<std::size_t>(meta_->leaf_index(node)) *
+                                            static_cast<std::size_t>(leaf_size_),
+                                        static_cast<std::size_t>(leaf_size_));
+      const auto alive = [&](std::int32_t w) {
+        return w != me && w != to && !link_soft_failed(meta_->leaf_mesh_link(node, w)) &&
+               !link_soft_failed(meta_->leaf_mesh_link(members[static_cast<std::size_t>(w)], to));
+      };
+      const auto slots = std::views::iota(std::int32_t{0}, static_cast<std::int32_t>(leaf_size_));
+      const auto count = static_cast<std::size_t>(std::ranges::count_if(slots, alive));
+      if (count == 0) return primary;
+      const std::int32_t w = nth_kept(
+          slots, hash_select(key.flow_hash, static_cast<std::uint64_t>(node), count), alive);
+      key.via = members[static_cast<std::size_t>(w)];
       key.vlb_done = true;
-      return mesh_[row + static_cast<std::size_t>(w)];
+      return meta_->leaf_mesh_link(node, w);
     }
 
     // Trunk-level self-healing: detour through a third sibling element
@@ -189,75 +135,23 @@ topo::LinkId HierOracle::next_link(topo::NodeId node, FlowKey& key) const {
     const std::int64_t parent = meta_->parent_index(node, level);
     const std::int32_t e_u = meta_->path_at(node, level);
     const std::int32_t e_d = meta_->path_at(target, level);
-    const std::int32_t siblings = meta_->arity[static_cast<std::size_t>(level)];
-    std::vector<std::int32_t> options;
-    options.reserve(static_cast<std::size_t>(siblings));
-    for (std::int32_t k = 0; k < siblings; ++k) {
-      if (k == e_u || k == e_d) continue;
-      const topo::TrunkEntry& out = meta_->trunk(level, parent, e_u, k);
-      const topo::TrunkEntry& in = meta_->trunk(level, parent, k, e_d);
-      if (out.link == topo::kInvalidLink || in.link == topo::kInvalidLink) continue;
-      if (link_soft_failed(out.link) || link_soft_failed(in.link)) continue;
-      options.push_back(k);
-    }
-    if (options.empty()) return primary;
-    const std::int32_t k = options[hash_select(
-        key.flow_hash, static_cast<std::uint64_t>(node) ^ 0x9e3779b97f4a7c15ull,
-        options.size())];
+    const auto alive = [&](std::int32_t k) {
+      return k != e_u && k != e_d && !link_soft_failed(meta_->trunk(level, parent, e_u, k).link) &&
+             !link_soft_failed(meta_->trunk(level, parent, k, e_d).link);
+    };
+    const auto siblings =
+        std::views::iota(std::int32_t{0}, meta_->arity[static_cast<std::size_t>(level)]);
+    const auto count = static_cast<std::size_t>(std::ranges::count_if(siblings, alive));
+    if (count == 0) return primary;
+    const std::int32_t k = nth_kept(
+        siblings,
+        hash_select(key.flow_hash, static_cast<std::uint64_t>(node) ^ 0x9e3779b97f4a7c15ull, count),
+        alive);
     key.via = meta_->trunk(level, parent, e_u, k).peer_gateway;
     key.vlb_done = true;
     // Loop: route toward the detour gateway with the refreshed target.
   }
   return primary;
-}
-
-HierOracle::LevelCandidates HierOracle::candidates(topo::NodeId node, topo::NodeId dst) const {
-  ensure_epoch();
-  const topo::Graph& g = topo_->graph;
-  const topo::NodeId target =
-      g.is_host(dst) ? attach_[static_cast<std::size_t>(dst)] : dst;
-  LevelCandidates out;
-  if (target == node || target == topo::kInvalidNode) return out;
-  const int level = meta_->divergence_level(node, target);
-  out.level = level;
-  out.links.push_back(lookup(node, target));
-
-  if (level == levels_ - 1) {
-    const std::int32_t me = meta_->path_at(node, level);
-    const std::int32_t to = meta_->path_at(target, level);
-    const std::size_t row =
-        static_cast<std::size_t>(node) * static_cast<std::size_t>(leaf_size_);
-    const std::int64_t leaf = meta_->leaf_index(node);
-    for (std::int32_t w = 0; w < leaf_size_; ++w) {
-      if (w == me || w == to) continue;
-      const topo::NodeId mid =
-          meta_->leaf_members[static_cast<std::size_t>(leaf) *
-                                  static_cast<std::size_t>(leaf_size_) +
-                              static_cast<std::size_t>(w)];
-      const topo::LinkId first = mesh_[row + static_cast<std::size_t>(w)];
-      const topo::LinkId second =
-          mesh_[static_cast<std::size_t>(mid) * static_cast<std::size_t>(leaf_size_) +
-                static_cast<std::size_t>(to)];
-      if (first == topo::kInvalidLink || second == topo::kInvalidLink) continue;
-      if (link_soft_failed(first) || link_soft_failed(second)) continue;
-      out.links.push_back(first);
-    }
-    return out;
-  }
-
-  const std::int64_t parent = meta_->parent_index(node, level);
-  const std::int32_t e_u = meta_->path_at(node, level);
-  const std::int32_t e_d = meta_->path_at(target, level);
-  const std::int32_t siblings = meta_->arity[static_cast<std::size_t>(level)];
-  for (std::int32_t k = 0; k < siblings; ++k) {
-    if (k == e_u || k == e_d) continue;
-    const topo::TrunkEntry& leg_out = meta_->trunk(level, parent, e_u, k);
-    const topo::TrunkEntry& leg_in = meta_->trunk(level, parent, k, e_d);
-    if (leg_out.link == topo::kInvalidLink || leg_in.link == topo::kInvalidLink) continue;
-    if (link_soft_failed(leg_out.link) || link_soft_failed(leg_in.link)) continue;
-    out.links.push_back(leg_out.link);
-  }
-  return out;
 }
 
 HierOracle::Path HierOracle::route(topo::NodeId src, topo::NodeId dst) const {
@@ -266,7 +160,7 @@ HierOracle::Path HierOracle::route(topo::NodeId src, topo::NodeId dst) const {
   FlowKey key;
   key.src = src;
   key.dst = dst;
-  const topo::Graph& g = topo_->graph;
+  const topo::Graph& g = *graph_;
   topo::NodeId at = src;
   // Generous hop bound: one traversal per level each way plus slack.
   const int max_hops = 4 * levels_ + 8;

@@ -3,10 +3,19 @@
 // HierOracle extends PR 5's per-ToR destination groups to hierarchy
 // *levels*: the dense FIB keys on (node, level-group), where the group
 // universe is sum(arity) — one group per sibling element at each level
-// plus one per leaf slot.  A core switch therefore stores one entry
-// per child element, not one per ToR or host, keeping FIB memory
-// sublinear in hosts: a 48x48x48 fabric (110k switches, millions of
-// modeled hosts) needs only 144 entries per touched switch.
+// plus one per leaf slot (CompositeMeta::group_of).  A core switch
+// therefore stores one entry per child element, not one per ToR or
+// host, keeping FIB memory sublinear in hosts: a 48x48x48 fabric (110k
+// switches, millions of modeled hosts) needs only 144 entries per
+// touched switch.
+//
+// The oracle keeps no per-node or per-link table of its own besides
+// that lazy FIB.  A host carries its attachment switch's path, so it
+// keys that switch's groups directly; host uplinks and leaf lightpaths
+// are index formulas over the layout the builder records in
+// CompositeMeta (uplink, leaf_mesh_link), and trunks come from its
+// per-level trunk matrices.  Constructing the oracle scans nothing in
+// the graph, so it never builds the graph's adjacency index.
 //
 // Routing rule (uniform rings-of-rings meta): at divergence level L the
 // packet leaves via the recorded trunk between its element and the
@@ -16,7 +25,8 @@
 // the paper's §3.5 two-hop story lifted per level: a dead leaf mesh
 // link detours through a third ring switch, a dead trunk detours
 // through a third sibling element's gateways — both deterministic in
-// the flow hash, budgeted by FlowKey::vlb_done.
+// the flow hash, budgeted by FlowKey::vlb_done, and picked without
+// allocating.
 #pragma once
 
 #include <cstdint>
@@ -34,21 +44,6 @@ class HierOracle final : public RoutingOracle {
   explicit HierOracle(const topo::BuiltTopology& topo);
 
   topo::LinkId next_link(topo::NodeId node, FlowKey& key) const override;
-
-  /// Level-group of `dst` (switch or host) as seen from switch `node`;
-  /// -1 when co-located.  Mirrors EcmpRouting::group_of but keys on
-  /// hierarchy levels instead of ToRs.
-  std::int32_t group_of(topo::NodeId node, topo::NodeId dst) const;
-  std::int32_t group_universe() const { return groups_; }
-
-  /// The equal-preference candidate set at the divergence level:
-  /// links[0] is the primary (direct trunk or mesh link), the rest are
-  /// the currently-alive healing alternates' first legs.
-  struct LevelCandidates {
-    int level = 0;
-    std::vector<topo::LinkId> links;
-  };
-  LevelCandidates candidates(topo::NodeId node, topo::NodeId dst) const;
 
   /// One extracted path as (link, direction) steps; direction 0
   /// traverses a->b (mirrors flow::Route without the layering
@@ -72,19 +67,13 @@ class HierOracle final : public RoutingOracle {
 
  private:
   void ensure_epoch() const;
-  topo::LinkId lookup(topo::NodeId node, topo::NodeId target) const;
+  topo::LinkId lookup(topo::NodeId node, std::int32_t group) const;
   topo::LinkId compute(topo::NodeId node, std::int32_t group) const;
 
-  const topo::BuiltTopology* topo_;
+  const topo::Graph* graph_;
   const topo::CompositeMeta* meta_;
   int levels_ = 0;
   int leaf_size_ = 0;
-  std::int32_t groups_ = 0;
-
-  std::vector<topo::NodeId> attach_;  ///< host -> attachment switch
-  std::vector<topo::LinkId> uplink_;  ///< host -> its access link
-  /// Leaf full-mesh matrix: mesh_[switch * leaf_size_ + slot].
-  std::vector<topo::LinkId> mesh_;
 
   // Lazy dense FIB, wiped whole on any state_epoch() change.
   mutable std::vector<std::int64_t> fib_base_;  ///< node -> arena offset, -1 untouched

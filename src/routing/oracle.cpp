@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <stdexcept>
 
 #include "common/check.hpp"
 #include "routing/fib.hpp"
@@ -11,18 +10,6 @@
 
 namespace quartz::routing {
 namespace {
-
-/// The `index`-th element of `items` that `keep` accepts.  Pickers
-/// count the accepted elements first and hash an index below that
-/// count, so they draw exactly what indexing a vector of the accepted
-/// elements would draw, without building one.
-template <typename Range, typename Keep>
-typename Range::value_type nth_kept(const Range& items, std::size_t index, Keep&& keep) {
-  for (const auto& item : items) {
-    if (keep(item) && index-- == 0) return item;
-  }
-  throw std::logic_error("pick index past the accepted elements");
-}
 
 /// Hash-pick among the equal-cost links not known dead; falls back to
 /// the full set when every candidate is dead (`any_alive` reports

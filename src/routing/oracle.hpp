@@ -20,6 +20,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <ranges>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -40,6 +42,18 @@ class FibCompiler;
 /// Observed loss above this treats a link as soft-failed: oracles with
 /// a LossView deflect around it when a detour's combined loss is lower.
 inline constexpr double kSoftFailLossThreshold = 0.02;
+
+/// The `index`-th element of `items` that `keep` accepts.  Pickers
+/// count the accepted elements first and hash an index below that
+/// count, so they draw exactly what indexing a vector of the accepted
+/// elements would draw, without building one.
+template <typename Range, typename Keep>
+std::ranges::range_value_t<Range> nth_kept(const Range& items, std::size_t index, Keep&& keep) {
+  for (const auto& item : items) {
+    if (keep(item) && index-- == 0) return item;
+  }
+  throw std::logic_error("pick index past the accepted elements");
+}
 
 class RoutingOracle {
  public:

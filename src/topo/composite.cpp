@@ -127,7 +127,15 @@ class CompositeWriter {
       : params_(params), spec_(params.spec), out_(out), meta_(meta), g_(out.graph) {
     coords_.resize(spec_.dims.size());
     if (rings()) {
-      plan_ = wavelength::greedy_assign(spec_.dims.back());
+      const int m = spec_.dims.back();
+      plan_ = wavelength::greedy_assign(m);
+      meta_.leaf_lightpath.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(m), -1);
+      for (std::size_t i = 0; i < plan_.paths.size(); ++i) {
+        const auto& p = plan_.paths[i];
+        meta_.leaf_lightpath[static_cast<std::size_t>(p.src * m + p.dst)] =
+            meta_.leaf_lightpath[static_cast<std::size_t>(p.dst * m + p.src)] =
+                static_cast<std::int32_t>(i);
+      }
     } else {
       TwoTierParams tree;
       tree.tors = spec_.dims.back();
@@ -156,6 +164,7 @@ class CompositeWriter {
       g_.reserve(static_cast<std::size_t>(switches + hosts),
                  static_cast<std::size_t>(hosts + trunks) + static_cast<std::size_t>(leaves) *
                                                                 plan_.paths.size());
+      meta_.leaf_first_link.reserve(static_cast<std::size_t>(leaves));
     } else {
       g_.reserve(static_cast<std::size_t>(leaves) * pod_.graph.node_count(),
                  static_cast<std::size_t>(leaves) * pod_.graph.link_count() +
@@ -223,6 +232,7 @@ class CompositeWriter {
     const int model = g_.add_model(params_.switch_model);
     const std::string prefix = std::string("L").append(std::to_string(leaf_));
     const std::size_t first_host = out_.hosts.size();
+    meta_.leaf_first_link.push_back(static_cast<LinkId>(g_.link_count()));
     auto& ring = out_.quartz_rings.emplace_back();
     ring.reserve(static_cast<std::size_t>(m));
     for (int s = 0; s < m; ++s) {

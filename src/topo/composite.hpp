@@ -6,8 +6,10 @@
 //
 // The builder writes the whole fabric into one graph in a single
 // depth-first pass, tags every node with its hierarchy path, records the
-// trunk matrix between sibling elements at every level (the substrate
-// for routing::HierOracle's (node, level-group) FIB), and can account
+// trunk matrix between sibling elements at every level and where each
+// leaf ring's links start (the substrate for routing::HierOracle's
+// (node, level-group) FIB: host uplinks and leaf lightpaths are index
+// formulas, not graph scans), and can account
 // for "modeled" hosts that are never materialized as graph nodes —
 // which is how a 100k-switch / million-host fabric fits in one box
 // under the hybrid flow/packet evaluation mode (sim/fluid.hpp).
@@ -64,6 +66,14 @@ struct CompositeMeta {
   /// is leaf_members[e * arity.back() + s]; leaf elements are indexed
   /// by the mixed radix of their length-(levels()-1) prefix.
   std::vector<NodeId> leaf_members;
+  /// Uniform metadata only.  A leaf ring writes its nodes contiguously
+  /// (each switch, then its hosts) and its links contiguously (the host
+  /// links in host order, then the lightpaths in channel-plan order);
+  /// leaf_first_link[e] is the first of leaf e's links.
+  std::vector<LinkId> leaf_first_link;
+  /// Channel-plan index of the lightpath joining leaf slots s and w,
+  /// leaf_lightpath[s * arity.back() + w]; -1 on the diagonal.
+  std::vector<std::int32_t> leaf_lightpath;
   /// Hosts the fabric models: materialized graph hosts plus
   /// virtual_hosts_per_switch accounted on every leaf switch.
   std::int64_t modeled_hosts = 0;
@@ -100,6 +110,39 @@ struct CompositeMeta {
     const auto a = static_cast<std::int64_t>(arity[static_cast<std::size_t>(level)]);
     return trunks[static_cast<std::size_t>(level)]
                  [static_cast<std::size_t>((parent * a + from) * a + to)];
+  }
+
+  // Leaf addressing by index formula (uniform metadata only).
+
+  /// Hosts materialized in leaf e: its node span less its switches
+  /// (trunks add no nodes, so leaf e+1 starts where leaf e ends).
+  std::int64_t hosts_in_leaf(std::int64_t leaf) const {
+    const auto m = static_cast<std::size_t>(arity.back());
+    const auto first = static_cast<std::size_t>(leaf) * m;
+    const std::int64_t end = first + m < leaf_members.size()
+                                 ? leaf_members[first + m]
+                                 : static_cast<std::int64_t>(path.size()) / levels();
+    return end - leaf_members[first] - static_cast<std::int64_t>(m);
+  }
+
+  /// A host's access link: one per host before it in its leaf.
+  LinkId uplink(NodeId host) const {
+    const std::int64_t leaf = leaf_index(host);
+    const NodeId first = leaf_members[static_cast<std::size_t>(leaf) *
+                                      static_cast<std::size_t>(arity.back())];
+    return leaf_first_link[static_cast<std::size_t>(leaf)] + (host - first) -
+           path_at(host, levels() - 1) - 1;
+  }
+
+  /// The lightpath from leaf switch `sw` to the switch at slot `w` of
+  /// its ring; `w` must differ from sw's own slot.
+  LinkId leaf_mesh_link(NodeId sw, std::int32_t w) const {
+    const std::int64_t leaf = leaf_index(sw);
+    const auto slot = static_cast<std::size_t>(path_at(sw, levels() - 1));
+    const std::int32_t pair =
+        leaf_lightpath[slot * static_cast<std::size_t>(arity.back()) + static_cast<std::size_t>(w)];
+    return static_cast<LinkId>(leaf_first_link[static_cast<std::size_t>(leaf)] +
+                               hosts_in_leaf(leaf) + pair);
   }
 
   /// Dense-FIB key space: one group per sibling element per level.

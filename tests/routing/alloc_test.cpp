@@ -5,7 +5,9 @@
 //  * warm RoutingOracle::next_link calls with a FailureView allocate
 //    nothing, on all four forwarding oracles, both on a healthy ring
 //    and with dead and lossy links — the deflection scan, healing
-//    detours and VLB intermediate picks included;
+//    detours and VLB intermediate picks included — and on HierOracle
+//    healing around a dead leaf lightpath or a dead trunk;
+//  * constructing a HierOracle builds no graph adjacency index;
 //  * a warm Fib allocates nothing, both in a healthy steady state and
 //    under epoch churn once its arenas and compile buffers have reached
 //    their high-water mark;
@@ -24,9 +26,11 @@
 #include "routing/ecmp.hpp"
 #include "routing/failure_view.hpp"
 #include "routing/fib.hpp"
+#include "routing/hierarchical.hpp"
 #include "routing/oracle.hpp"
 #include "support/counting_new.hpp"
 #include "topo/builders.hpp"
+#include "topo/composite.hpp"
 
 namespace quartz::routing {
 namespace {
@@ -56,6 +60,19 @@ struct Flow {
   std::uint64_t hash;
 };
 
+/// 2,048 flows between distinct hosts drawn from a fixed hash stream.
+std::vector<Flow> random_flows(const std::vector<NodeId>& hosts) {
+  std::vector<Flow> flows;
+  for (std::uint64_t i = 0; i < 2048; ++i) {
+    const std::uint64_t h = mix_hash(i + 1);
+    const std::size_t a = h % hosts.size();
+    std::size_t b = (h >> 24) % hosts.size();
+    if (b == a) b = (b + 1) % hosts.size();
+    flows.push_back({hosts[a], hosts[b], h});
+  }
+  return flows;
+}
+
 /// An 8-switch Quartz ring (4 hosts each) with a fixed flow set.
 struct RingFixture {
   topo::BuiltTopology topo;
@@ -74,13 +91,7 @@ struct RingFixture {
     for (const auto& link : topo.graph.links()) {
       if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) mesh.push_back(link.id);
     }
-    for (std::uint64_t i = 0; i < 2048; ++i) {
-      const std::uint64_t h = mix_hash(i + 1);
-      const std::size_t a = h % topo.hosts.size();
-      std::size_t b = (h >> 24) % topo.hosts.size();
-      if (b == a) b = (b + 1) % topo.hosts.size();
-      flows.push_back({topo.hosts[a], topo.hosts[b], h});
-    }
+    flows = random_flows(topo.hosts);
     view.resize(topo.graph.link_count());
     loss = std::make_unique<TableLossView>(topo.graph.link_count());
   }
@@ -95,13 +106,21 @@ struct RingFixture {
   }
 };
 
+/// ring-of-rings:3x4@2 with a fixed flow set and an empty failure view.
+struct CompositeFixture {
+  topo::BuiltTopology topo =
+      topo::build_composite(*topo::CompositeSpec::parse("ring-of-rings:3x4@2"));
+  std::vector<Flow> flows = random_flows(topo.hosts);
+  FailureView view{topo.graph.link_count()};
+};
+
 struct WalkTotals {
   std::uint64_t decisions = 0;
   std::uint64_t detours = 0;
 };
 
-template <typename Decide>
-WalkTotals walk_all(const RingFixture& f, Decide&& decide) {
+template <typename Fixture, typename Decide>
+WalkTotals walk_all(const Fixture& f, Decide&& decide) {
   WalkTotals totals;
   for (const Flow& flow : f.flows) {
     FlowKey key;
@@ -162,6 +181,40 @@ TEST(RoutingAllocation, WarmOracleSlowPathIsAllocationFree) {
       }
     }
   }
+
+  // HierOracle's per-level healing: a dead leaf lightpath detours
+  // through a third ring switch, a dead trunk through a third sibling
+  // element.
+  for (const bool trunk : {false, true}) {
+    CompositeFixture f;
+    const topo::CompositeMeta& meta = *f.topo.composite;
+    f.view.set_dead(trunk ? meta.trunk(0, 0, 0, 1).link
+                          : meta.leaf_mesh_link(meta.leaf_members[0], 2),
+                    true);
+    HierOracle oracle(f.topo);
+    oracle.attach_failure_view(&f.view);
+    const auto decide = [&oracle](NodeId node, FlowKey& key) {
+      return oracle.next_link(node, key);
+    };
+    walk_all(f, decide);  // warm up: fills the lazy FIB
+    const std::uint64_t before = alloc_count();
+    const WalkTotals totals = walk_all(f, decide);
+    EXPECT_EQ(alloc_count() - before, 0u) << (trunk ? "dead trunk" : "dead leaf lightpath");
+    EXPECT_GT(totals.detours, 0u) << (trunk ? "dead trunk" : "dead leaf lightpath");
+  }
+}
+
+TEST(RoutingAllocation, HierOracleReadsNoGraphIndex) {
+  // Constructing the oracle allocates its lazy FIB's node table and
+  // nothing else: the composite layout comes from CompositeMeta, so the
+  // graph's adjacency index stays unbuilt until a reader asks for it.
+  const CompositeFixture f;
+  const std::uint64_t before = alloc_count();
+  const HierOracle oracle(f.topo);
+  EXPECT_EQ(alloc_count() - before, 1u);
+  const std::uint64_t index_before = alloc_count();
+  (void)f.topo.graph.neighbors(0);
+  EXPECT_GT(alloc_count() - index_before, 0u) << "the adjacency index was already built";
 }
 
 TEST(RoutingAllocation, WarmFibUnderEpochChurnIsAllocationFree) {

@@ -395,5 +395,50 @@ TEST(Composite, GraphDigestsArePinned) {
   }
 }
 
+TEST(Composite, LeafAddressesMatchTheGraph) {
+  // The index formulas against a scan of the graph, on every pinned
+  // ring-of-rings shape, bare and with foreground islands that give
+  // some leaf switches more hosts than the rest.
+  for (const char* text : {"ring-of-rings:8x8@2", "ring-of-rings:4x4x4+10",
+                           "ring-of-rings:3x4x5@1+2", "ring-of-rings:2x3x2x4@2"}) {
+    for (const bool islands : {false, true}) {
+      CompositeParams params = params_of(text);
+      if (islands) {
+        params.foreground_leaf_switches = params.spec.dims.back() + 3;
+        params.foreground_hosts_per_switch = params.spec.hosts_per_switch + 2;
+      }
+      SCOPED_TRACE(params.spec.to_string() + (islands ? " with islands" : ""));
+      const BuiltTopology t = build_composite(params);
+      const Graph& g = t.graph;
+      const CompositeMeta& meta = *t.composite;
+      const int last = meta.levels() - 1;
+
+      std::size_t lightpaths = 0;
+      for (const Link& link : g.links()) {
+        if (!g.is_switch(link.a) || !g.is_switch(link.b) ||
+            meta.divergence_level(link.a, link.b) != last) {
+          continue;
+        }
+        ++lightpaths;
+        EXPECT_EQ(meta.leaf_mesh_link(link.a, meta.path_at(link.b, last)), link.id);
+        EXPECT_EQ(meta.leaf_mesh_link(link.b, meta.path_at(link.a, last)), link.id);
+      }
+      const auto m = static_cast<std::size_t>(meta.arity.back());
+      EXPECT_EQ(lightpaths, meta.leaf_members.size() / m * (m * (m - 1) / 2));
+
+      // A host carries its attachment switch's whole path.
+      for (const NodeId host : t.hosts) {
+        const auto adj = g.neighbors(host);
+        ASSERT_EQ(adj.size(), 1u);
+        EXPECT_EQ(meta.leaf_members[static_cast<std::size_t>(meta.leaf_index(host)) * m +
+                                    static_cast<std::size_t>(meta.path_at(host, last))],
+                  adj[0].peer);
+        EXPECT_EQ(meta.divergence_level(host, adj[0].peer), meta.levels());
+        EXPECT_EQ(meta.uplink(host), adj[0].link);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace quartz::topo
