@@ -33,17 +33,18 @@ namespace {
 
 using namespace quartz;
 
-/// VmRSS ceiling at the 100k-switch point, just above what the run
-/// reads: 117 MiB, almost all of it the fabric itself.  HierOracle adds
-/// only its lazy FIB's node table and the simulator only the pages it
-/// writes, so a dense per-line array (tens of MiB) or a graph adjacency
-/// index (41 MiB) anywhere in set-up trips it.  ASan's shadow memory and
-/// allocator quarantine lift the same run to 183 MiB, so that build
-/// gets its own ceiling.
+/// VmRSS ceiling at the 100k-switch point, about 22 MiB above what the
+/// run reads: 57 MiB, almost all of it the fabric's 16-byte links.
+/// HierOracle adds only its lazy FIB and the simulator only the pages it
+/// writes, so a dense per-line array (tens of MiB), a graph adjacency
+/// index (41 MiB) or links back at 40 bytes (+61 MiB) anywhere in set-up
+/// trips it.  ASan's shadow memory and allocator quarantine lift the
+/// same run to 106 MiB, so that build gets its own ceiling, with the
+/// same margin.
 #if defined(__SANITIZE_ADDRESS__)
-constexpr double kRssCeilingMib = 200.0;
-#else
 constexpr double kRssCeilingMib = 128.0;
+#else
+constexpr double kRssCeilingMib = 80.0;
 #endif
 
 /// Resident set size in MiB (VmRSS from /proc/self/status; 0 when the

@@ -261,10 +261,12 @@ void report_retry_budget_duel() {
     config.max_retries = 3;
     serve::ServeLoop loop(config);
     const auto& ring = loop.topology().quartz_rings.front();
-    for (const auto& link : loop.topology().graph.links()) {
+    const topo::Graph& graph = loop.topology().graph;
+    for (const topo::LinkId id : graph.link_ids()) {
+      const topo::Link& link = graph.link(id);
       if (link.wdm_channel < 0) continue;
       if ((link.a == ring[0] && link.b == ring[1]) || (link.a == ring[1] && link.b == ring[0])) {
-        loop.network().set_link_loss(link.id, 1.0);
+        loop.network().set_link_loss(id, 1.0);
         break;
       }
     }

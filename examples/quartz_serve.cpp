@@ -235,11 +235,12 @@ int main(int argc, char** argv) {
   if (flags.get_bool("blackhole")) {
     // Gray-fail the first mesh lightpath: the failure view never
     // learns, so only timeouts (and the retry budget) notice.
-    for (const auto& link : loop.topology().graph.links()) {
-      if (link.wdm_channel < 0) continue;
+    const topo::Graph& graph = loop.topology().graph;
+    for (const topo::LinkId id : graph.link_ids()) {
+      if (graph.link(id).wdm_channel < 0) continue;
       const TimePs at = config.duration / 4;
-      faults.schedule_transceiver_aging(at, link.id, 1.0);
-      std::printf("  gray failure: mesh link %u blackholed from %.1f ms\n", link.id,
+      faults.schedule_transceiver_aging(at, id, 1.0);
+      std::printf("  gray failure: mesh link %d blackholed from %.1f ms\n", id,
                   to_microseconds(at) / 1000.0);
       break;
     }

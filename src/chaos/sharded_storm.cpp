@@ -64,8 +64,9 @@ topo::BuiltTopology build_storm_topo(const ShardedStormParams& params) {
 /// determinism tests must cover).
 std::vector<topo::LinkId> fault_mesh(const topo::BuiltTopology& topo) {
   std::vector<topo::LinkId> out;
-  for (const auto& link : topo.graph.links()) {
-    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) out.push_back(link.id);
+  for (const topo::LinkId id : topo.graph.link_ids()) {
+    const topo::Link& link = topo.graph.link(id);
+    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) out.push_back(id);
   }
   return out;
 }
@@ -280,17 +281,17 @@ class ShardedStormRun::StormShard final : public sim::Shard,
         violations.push_back(std::move(line));
       }
     };
-    for (const auto& link : topo_.graph.links()) {
-      const routing::LinkHealth physical = net_.link_health(link.id);
+    for (const topo::LinkId link : topo_.graph.link_ids()) {
+      const routing::LinkHealth physical = net_.link_health(link);
       if (physical != routing::LinkHealth::kHealthy) {
-        violate(link.id, std::string("still physically ") + routing::link_health_name(physical) +
-                             " after quiescence");
-      } else if (probes_ != nullptr && monitor_.health(link.id) != physical) {
-        violate(link.id, std::string("seen as ") +
-                             routing::link_health_name(monitor_.health(link.id)) +
-                             ", physically healthy");
-      } else if (probes_ == nullptr && net_.failure_view().is_dead(link.id)) {
-        violate(link.id, "still dead in the fixed-delay view");
+        violate(link, std::string("still physically ") + routing::link_health_name(physical) +
+                          " after quiescence");
+      } else if (probes_ != nullptr && monitor_.health(link) != physical) {
+        violate(link, std::string("seen as ") +
+                          routing::link_health_name(monitor_.health(link)) +
+                          ", physically healthy");
+      } else if (probes_ == nullptr && net_.failure_view().is_dead(link)) {
+        violate(link, "still dead in the fixed-delay view");
       }
     }
     return ok;

@@ -39,7 +39,8 @@ const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
     for (std::size_t line = 0; line < initial_line_used.size(); ++line) {
       if (initial_line_used[line] == 0.0) continue;
       // Clamp tiny float overshoot so residual capacity is never negative.
-      result_.line_used[line] = std::min(initial_line_used[line], graph_->links()[line / 2].rate);
+      result_.line_used[line] =
+          std::min(initial_line_used[line], graph_->rate(static_cast<topo::LinkId>(line / 2)));
       seeded_lines_.push_back(line);
     }
   }
@@ -107,9 +108,10 @@ const MaxMinResult& MaxMinSolver::solve(const std::vector<Flow>& flows,
   for (const std::size_t f : sub_flow_) ++flow_active_subs_[f];
 
   // The water level at which compact line `s` saturates.
-  const std::vector<topo::Link>& links = graph_->links();
+  const std::span<const topo::Link> links = graph_->links();
+  const std::span<const topo::LinkClass> classes = graph_->link_classes();
   const auto line_saturates_at = [&](std::size_t s) {
-    const double capacity = links[used_lines_[s] / 2].rate;
+    const double capacity = classes[links[used_lines_[s] / 2].link_class].rate;
     return (capacity - frozen_[s]) / static_cast<double>(active_count_[s]);
   };
   const auto freeze_subflow = [&](std::size_t sub, double level) {

@@ -21,7 +21,7 @@ HierOracle::HierOracle(const topo::BuiltTopology& topo) : graph_(&topo.graph) {
   levels_ = meta_->levels();
   leaf_size_ = meta_->arity.back();
   QUARTZ_REQUIRE(levels_ >= 2, "composite metadata must carry at least two levels");
-  fib_base_.assign(graph_->node_count(), -1);
+  fib_base_ = ZeroArray<std::int64_t>(graph_->node_count());
   fib_epoch_ = state_epoch();
 }
 
@@ -29,7 +29,7 @@ void HierOracle::ensure_epoch() const {
   const std::uint64_t epoch = state_epoch();
   if (epoch != fib_epoch_) {
     fib_epoch_ = epoch;
-    std::fill(fib_base_.begin(), fib_base_.end(), -1);
+    fib_base_ = ZeroArray<std::int64_t>(fib_base_.size());
     arena_.clear();
     stats_.arenas = 0;
   }
@@ -59,20 +59,20 @@ topo::LinkId HierOracle::compute(topo::NodeId node, std::int32_t group) const {
 
 topo::LinkId HierOracle::lookup(topo::NodeId node, std::int32_t group) const {
   QUARTZ_CHECK(group >= 0, "lookup target co-located with node");
-  std::int64_t& base = fib_base_[static_cast<std::size_t>(node)];
-  if (base < 0) {
-    base = static_cast<std::int64_t>(arena_.size());
+  std::int64_t& stored = fib_base_[static_cast<std::size_t>(node)];
+  if (stored == 0) {
+    stored = static_cast<std::int64_t>(arena_.size()) + 1;
     arena_.resize(arena_.size() + static_cast<std::size_t>(meta_->group_universe()), kUncomputed);
     ++stats_.arenas;
   }
   const std::size_t at =
-      static_cast<std::size_t>(base) + static_cast<std::size_t>(group);
+      static_cast<std::size_t>(stored - 1) + static_cast<std::size_t>(group);
   if (arena_[at] == kUncomputed) {
     ++stats_.misses;
     // compute() may recurse into lookup() and grow the arena, moving
     // entries; index again through the (stable) base afterwards.
     const topo::LinkId value = compute(node, group);
-    arena_[static_cast<std::size_t>(fib_base_[static_cast<std::size_t>(node)]) +
+    arena_[static_cast<std::size_t>(fib_base_[static_cast<std::size_t>(node)] - 1) +
            static_cast<std::size_t>(group)] = value;
     return value;
   }

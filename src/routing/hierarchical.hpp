@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/zero_array.hpp"
 #include "routing/oracle.hpp"
 #include "topo/composite.hpp"
 
@@ -76,7 +77,8 @@ class HierOracle final : public RoutingOracle {
   int leaf_size_ = 0;
 
   // Lazy dense FIB, wiped whole on any state_epoch() change.
-  mutable std::vector<std::int64_t> fib_base_;  ///< node -> arena offset, -1 untouched
+  /// node -> arena offset + 1; 0 untouched, so a fresh array is the reset.
+  mutable ZeroArray<std::int64_t> fib_base_;
   mutable std::vector<topo::LinkId> arena_;
   mutable std::uint64_t fib_epoch_ = 0;
   mutable Stats stats_;

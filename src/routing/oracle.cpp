@@ -181,7 +181,8 @@ MeshAwareOracle::MeshAwareOracle(const EcmpRouting& routing,
     }
   }
   mesh_matrix_.assign(mesh_slots_ * mesh_slots_, topo::kInvalidLink);
-  for (const auto& link : graph.links()) {
+  for (const topo::LinkId id : graph.link_ids()) {
+    const topo::Link& link = graph.link(id);
     const int ra = ring_of(link.a);
     if (ra < 0 || ra != ring_of(link.b)) continue;
     const auto pa = static_cast<std::size_t>(mesh_pos_[static_cast<std::size_t>(link.a)]);
@@ -189,8 +190,8 @@ MeshAwareOracle::MeshAwareOracle(const EcmpRouting& routing,
     // First lightpath between the pair wins; parallel channels map to
     // the same logical mesh edge for routing purposes.
     if (mesh_matrix_[pa * mesh_slots_ + pb] == topo::kInvalidLink) {
-      mesh_matrix_[pa * mesh_slots_ + pb] = link.id;
-      mesh_matrix_[pb * mesh_slots_ + pa] = link.id;
+      mesh_matrix_[pa * mesh_slots_ + pb] = id;
+      mesh_matrix_[pb * mesh_slots_ + pa] = id;
     }
   }
 }

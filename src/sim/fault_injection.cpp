@@ -196,8 +196,9 @@ void FaultScheduler::run_poisson(const PoissonFaultParams& params,
   poisson_ = params;
   rng_ = rng;
   if (links.empty()) {
-    for (const auto& link : network_.graph().links()) {
-      if (link.wdm_channel >= 0) links.push_back(link.id);
+    const topo::Graph& graph = network_.graph();
+    for (const topo::LinkId id : graph.link_ids()) {
+      if (graph.link(id).wdm_channel >= 0) links.push_back(id);
     }
   }
   QUARTZ_REQUIRE(!links.empty(), "no links to fail");

@@ -112,10 +112,9 @@ void FluidBackground::solve_epoch() {
   for (const std::size_t line : solver_.used_lines()) {
     const double used = result.line_used[line];
     if (used <= 0.0) continue;
-    const topo::Link& link = g.link(static_cast<topo::LinkId>(line / 2));
-    const double rho =
-        std::min(used / static_cast<double>(link.rate), params_.max_utilization);
-    const TimePs serialization = transmission_time(params_.mean_packet, link.rate);
+    const BitsPerSecond rate = g.rate(static_cast<topo::LinkId>(line / 2));
+    const double rho = std::min(used / static_cast<double>(rate), params_.max_utilization);
+    const TimePs serialization = transmission_time(params_.mean_packet, rate);
     const double wait = rho / (2.0 * (1.0 - rho)) * static_cast<double>(serialization);
     const TimePs bias =
         std::min<TimePs>(static_cast<TimePs>(std::llround(wait)), params_.max_bias);

@@ -340,6 +340,7 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
   const topo::LinkId link_id =
       fib_ != nullptr ? fib_->next_link(node, packet.key) : oracle_->next_link(node, packet.key);
   const topo::Link& link = graph.link(link_id);
+  const topo::LinkClass& cls = graph.link_classes()[link.link_class];
   QUARTZ_CHECK(link.a == node || link.b == node, "oracle returned a detached link");
 
   // Transmitting onto a dead link loses the packet — the oracle only
@@ -366,7 +367,7 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
     drop(packet, DropReason::kQueueOverflow);
     return;
   }
-  const TimePs finish = std::max(start + transmission_time(packet.size, link.rate), min_finish);
+  const TimePs finish = std::max(start + transmission_time(packet.size, cls.rate), min_finish);
   busy_until = finish;
   line_active_[line] += finish - start;
   line_bits_[line] += packet.size;
@@ -376,8 +377,8 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
   });
 
   const topo::NodeId peer = link.other(node);
-  const TimePs first_bit = start + link.propagation;
-  const TimePs last_bit = finish + link.propagation;
+  const TimePs first_bit = start + cls.propagation;
+  const TimePs last_bit = finish + cls.propagation;
   // The in-flight packet carries the link state it observed at
   // transmission; the fail/loss checks happen when the head lands
   // (on_packet_event, kTransmitComplete).

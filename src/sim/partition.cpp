@@ -88,12 +88,13 @@ PartitionPlan plan_partition(const topo::BuiltTopology& topo, int shards) {
   }
 
   plan.lookahead = std::numeric_limits<TimePs>::max();
-  for (const topo::Link& link : g.links()) {
+  for (const topo::LinkId id : g.link_ids()) {
+    const topo::Link& link = g.link(id);
     const std::int32_t oa = plan.owner[static_cast<std::size_t>(link.a)];
     const std::int32_t ob = plan.owner[static_cast<std::size_t>(link.b)];
     if (oa == ob) continue;
-    plan.cross_links.push_back(link.id);
-    plan.lookahead = std::min(plan.lookahead, link.propagation);
+    plan.cross_links.push_back(id);
+    plan.lookahead = std::min(plan.lookahead, g.propagation(id));
   }
   QUARTZ_REQUIRE(!plan.cross_links.empty(),
                  "partition produced an empty cut; fabric too small for this shard count");

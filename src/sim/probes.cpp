@@ -24,7 +24,7 @@ ProbePlane::ProbePlane(Network& network, routing::HealthMonitor& monitor, Option
 void ProbePlane::start(std::vector<topo::LinkId> links) {
   if (links.empty()) {
     links.reserve(network_.graph().link_count());
-    for (const auto& link : network_.graph().links()) links.push_back(link.id);
+    for (const topo::LinkId id : network_.graph().link_ids()) links.push_back(id);
   }
   QUARTZ_REQUIRE(!links.empty(), "no links to probe");
   // Stagger the per-link schedules evenly across one interval.
@@ -65,7 +65,7 @@ void ProbePlane::fire(topo::LinkId link) {
   const bool corrupted = launched && network_.link_loss_rate(link) > 0.0 &&
                          rng_.next_double() < network_.link_loss_rate(link);
   const auto a = static_cast<std::uint64_t>(link);
-  network_.schedule_timer(sent_at + network_.graph().link(link).propagation,
+  network_.schedule_timer(sent_at + network_.graph().propagation(link),
                           {this, kResultTag, a, (launched ? kLaunched : 0) |
                                                     (corrupted ? kCorrupted : 0)});
   network_.schedule_timer(sent_at + options_.interval, {this, kFireTag, a, 0});

@@ -133,8 +133,8 @@ std::vector<std::pair<NodeId, NodeId>> severed_lightpaths(const BuiltTopology& t
 std::vector<LinkId> severed_links(const BuiltTopology& topo, const std::vector<FiberCut>& cuts) {
   const RingSurgery surgery = plan_surgery(topo, cuts);
   std::vector<LinkId> out;
-  for (const auto& link : topo.graph.links()) {
-    if (link_severed(surgery, link)) out.push_back(link.id);
+  for (const LinkId id : topo.graph.link_ids()) {
+    if (link_severed(surgery, topo.graph.link(id))) out.push_back(id);
   }
   return out;
 }
@@ -172,13 +172,14 @@ SurvivalOutcome try_survive_fiber_cuts(const BuiltTopology& topo,
     }
   }
 
-  for (const auto& link : topo.graph.links()) {
+  for (const LinkId id : topo.graph.link_ids()) {
+    const Link& link = topo.graph.link(id);
     if (link_severed(surgery, link)) {
       ++outcome.severed;
       continue;
     }
-    graph.add_link(link.a, link.b, link.rate, link.propagation, link.wdm_ring,
-                   link.wdm_channel);
+    graph.add_link(link.a, link.b, topo.graph.rate(id), topo.graph.propagation(id),
+                   link.wdm_ring, link.wdm_channel);
   }
 
   survivor.hosts = topo.hosts;

@@ -1,7 +1,9 @@
 #include "topo/graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -39,12 +41,35 @@ LinkId Graph::add_link(NodeId a, NodeId b, BitsPerSecond rate, TimePs propagatio
   QUARTZ_REQUIRE(a != b, "self loops are not allowed");
   QUARTZ_REQUIRE(rate > 0, "link rate must be positive");
   QUARTZ_REQUIRE(propagation >= 0, "propagation cannot be negative");
+  QUARTZ_REQUIRE(wdm_channel >= std::numeric_limits<std::int16_t>::min() &&
+                     wdm_channel <= std::numeric_limits<std::int16_t>::max(),
+                 "wdm channel does not fit 16 bits");
   const auto id = static_cast<LinkId>(links_.size());
-  links_.push_back(Link{id, a, b, rate, propagation, wdm_ring, wdm_channel});
+  links_.push_back(Link{a, b, wdm_ring, static_cast<std::int16_t>(wdm_channel),
+                        intern(rate, propagation)});
   ++degrees_[static_cast<std::size_t>(a)];
   ++degrees_[static_cast<std::size_t>(b)];
   adjacency_.invalidate();
   return id;
+}
+
+std::uint16_t Graph::intern(BitsPerSecond rate, TimePs propagation) {
+  const std::pair want(rate, propagation);
+  const auto pair_of = [this](std::uint16_t c) {
+    return std::pair(classes_[c].rate, classes_[c].propagation);
+  };
+  if (last_class_ < classes_.size() && pair_of(last_class_) == want) return last_class_;
+  const auto at = std::ranges::lower_bound(by_pair_, want, {}, pair_of);
+  if (at != by_pair_.end() && pair_of(*at) == want) {
+    last_class_ = *at;
+    return last_class_;
+  }
+  QUARTZ_REQUIRE(classes_.size() < std::numeric_limits<std::uint16_t>::max(),
+                 "link class count does not fit 16 bits");
+  classes_.push_back(LinkClass{rate, propagation});
+  last_class_ = static_cast<std::uint16_t>(classes_.size() - 1);
+  by_pair_.insert(at, last_class_);
+  return last_class_;
 }
 
 void Graph::reserve(std::size_t nodes, std::size_t links) {
@@ -63,7 +88,9 @@ void Graph::splice(const Graph& child, std::span<const int> model_map, int rack_
   }
   QUARTZ_REQUIRE(rack_offset >= 0 && wdm_ring_offset >= 0, "splice offsets cannot be negative");
   const auto node_base = static_cast<NodeId>(nodes_.size());
-  const auto link_base = static_cast<LinkId>(links_.size());
+  std::vector<std::uint16_t> class_map;
+  class_map.reserve(child.classes_.size());
+  for (const LinkClass& c : child.classes_) class_map.push_back(intern(c.rate, c.propagation));
 
   for (const Node& n : child.nodes_) {
     const int model =
@@ -73,8 +100,9 @@ void Graph::splice(const Graph& child, std::span<const int> model_map, int rack_
   }
   degrees_.insert(degrees_.end(), child.degrees_.begin(), child.degrees_.end());
   for (const Link& l : child.links_) {
-    links_.push_back(Link{link_base + l.id, node_base + l.a, node_base + l.b, l.rate, l.propagation,
-                          l.wdm_ring < 0 ? -1 : wdm_ring_offset + l.wdm_ring, l.wdm_channel});
+    links_.push_back(Link{node_base + l.a, node_base + l.b,
+                          l.wdm_ring < 0 ? -1 : wdm_ring_offset + l.wdm_ring, l.wdm_channel,
+                          class_map[l.link_class]});
   }
   adjacency_.invalidate();
 }
@@ -82,11 +110,6 @@ void Graph::splice(const Graph& child, std::span<const int> model_map, int rack_
 const Node& Graph::node(NodeId id) const {
   QUARTZ_REQUIRE(id >= 0 && id < static_cast<NodeId>(nodes_.size()), "node id out of range");
   return nodes_[static_cast<std::size_t>(id)];
-}
-
-const Link& Graph::link(LinkId id) const {
-  QUARTZ_REQUIRE(id >= 0 && id < static_cast<LinkId>(links_.size()), "link id out of range");
-  return links_[static_cast<std::size_t>(id)];
 }
 
 const SwitchModel& Graph::model_of(NodeId id) const {
@@ -127,7 +150,7 @@ Graph::AdjacencyIndex& Graph::AdjacencyIndex::operator=(AdjacencyIndex&& other) 
 
 std::span<const Adjacency> Graph::AdjacencyIndex::row(std::size_t id,
                                                       const std::vector<std::size_t>& degrees,
-                                                      const std::vector<Link>& links) const {
+                                                      std::span<const Link> links) const {
   if (!fresh_.load(std::memory_order_acquire)) {
     const std::lock_guard<std::mutex> lock(build_);
     if (!fresh_.load(std::memory_order_relaxed)) {
@@ -138,9 +161,11 @@ std::span<const Adjacency> Graph::AdjacencyIndex::row(std::size_t id,
       std::partial_sum(degrees.begin(), degrees.end(), offsets_.begin() + 1);
       entries_.resize(offsets_.back());
       std::vector<std::size_t> fill(offsets_.begin(), offsets_.end() - 1);
-      for (const Link& l : links) {
-        entries_[fill[static_cast<std::size_t>(l.a)]++] = Adjacency{l.id, l.b};
-        entries_[fill[static_cast<std::size_t>(l.b)]++] = Adjacency{l.id, l.a};
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        const Link& l = links[i];
+        const auto link = static_cast<LinkId>(i);
+        entries_[fill[static_cast<std::size_t>(l.a)]++] = Adjacency{link, l.b};
+        entries_[fill[static_cast<std::size_t>(l.b)]++] = Adjacency{link, l.a};
       }
       fresh_.store(true, std::memory_order_release);
     }

@@ -5,15 +5,24 @@
 // propagation delay.  Links built from a Quartz WDM mesh carry their
 // physical ring index and wavelength channel so that fault analysis can
 // map fiber cuts back to logical mesh edges.
+//
+// A link is a 16-byte record: its id is its index in links(), and its
+// (rate, propagation) pair is interned in a per-graph link-class table,
+// since a fabric uses only a handful of distinct pairs (a composite one
+// per level).  Readers on a hot path index the class table directly:
+// link_classes()[link.link_class].  The 16-bit class index caps a graph
+// at 65,535 classes, and the WDM channel is stored in 16 bits.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/units.hpp"
 #include "topo/switch_models.hpp"
 
@@ -37,19 +46,26 @@ struct Node {
   std::string label;
 };
 
-struct Link {
-  LinkId id = kInvalidLink;
-  NodeId a = kInvalidNode;
-  NodeId b = kInvalidNode;
+/// A link's physical parameters, shared by every link of its class.
+struct LinkClass {
   BitsPerSecond rate = 0;
   TimePs propagation = 0;
+};
+
+/// One full-duplex link; its id is its index in Graph::links().
+struct Link {
+  NodeId a = kInvalidNode;
+  NodeId b = kInvalidNode;
   /// Quartz metadata: physical ring and wavelength channel carrying
   /// this logical mesh edge; -1 for electrical/packet links.
-  int wdm_ring = -1;
-  int wdm_channel = -1;
+  std::int32_t wdm_ring = -1;
+  std::int16_t wdm_channel = -1;
+  /// Index into Graph::link_classes().
+  std::uint16_t link_class = 0;
 
   NodeId other(NodeId n) const { return n == a ? b : a; }
 };
+static_assert(sizeof(Link) == 16, "Link is a 16-byte record");
 
 /// One adjacency entry: the link and the neighbour it reaches.
 struct Adjacency {
@@ -72,19 +88,32 @@ class Graph {
   void reserve(std::size_t nodes, std::size_t links);
 
   /// Appends all of `child` in one pass: node ids shift by node_count(),
-  /// link ids by link_count(), child model i becomes model_map[i], and
-  /// racks / WDM rings shift by the given offsets (-1 stays -1).  Only
-  /// nodes and links are copied; adjacency is derived from links_, so
-  /// the result equals replaying the child's add_link calls.
+  /// link ids by link_count(), child model i becomes model_map[i],
+  /// child link classes are interned into this graph's, and racks / WDM
+  /// rings shift by the given offsets (-1 stays -1).  Only nodes and
+  /// links are copied; adjacency is derived from links_, so the result
+  /// equals replaying the child's add_link calls.
   void splice(const Graph& child, std::span<const int> model_map, int rack_offset,
               int wdm_ring_offset);
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }
   const Node& node(NodeId id) const;
-  const Link& link(LinkId id) const;
+  const Link& link(LinkId id) const {
+    QUARTZ_REQUIRE(id >= 0 && id < static_cast<LinkId>(links_.size()), "link id out of range");
+    return links_[static_cast<std::size_t>(id)];
+  }
   const std::vector<Node>& nodes() const { return nodes_; }
-  const std::vector<Link>& links() const { return links_; }
+  std::span<const Link> links() const { return links_; }
+  /// Every link id, 0 .. link_count() - 1.
+  std::ranges::iota_view<LinkId, LinkId> link_ids() const {
+    return std::views::iota(LinkId{0}, static_cast<LinkId>(links_.size()));
+  }
+  /// Interned (rate, propagation) pairs, indexable by Link::link_class.
+  std::span<const LinkClass> link_classes() const { return classes_; }
+  const LinkClass& link_class(LinkId id) const { return classes_[link(id).link_class]; }
+  BitsPerSecond rate(LinkId id) const { return link_class(id).rate; }
+  TimePs propagation(LinkId id) const { return link_class(id).propagation; }
   const SwitchModel& model_of(NodeId id) const;
   /// Registered switch-model table (indexable by Node::model).
   const std::vector<SwitchModel>& models() const { return models_; }
@@ -129,7 +158,7 @@ class Graph {
     void invalidate() { fresh_.store(false, std::memory_order_relaxed); }
     /// Node id's entries, building the index from `links` if stale.
     std::span<const Adjacency> row(std::size_t id, const std::vector<std::size_t>& degrees,
-                                   const std::vector<Link>& links) const;
+                                   std::span<const Link> links) const;
 
    private:
     mutable std::vector<std::size_t> offsets_;
@@ -138,8 +167,17 @@ class Graph {
     mutable std::mutex build_;
   };
 
+  /// Class index of (rate, propagation), adding a class on first use.
+  std::uint16_t intern(BitsPerSecond rate, TimePs propagation);
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
+  std::vector<LinkClass> classes_;
+  /// Class indices in (rate, propagation) order, for intern()'s search.
+  std::vector<std::uint16_t> by_pair_;
+  /// The class the last intern() returned: builders add runs of links
+  /// of one class.
+  std::uint16_t last_class_ = 0;
   /// Per-node link count, kept by the mutators.
   std::vector<std::size_t> degrees_;
   std::vector<SwitchModel> models_;

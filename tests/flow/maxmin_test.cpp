@@ -346,10 +346,10 @@ TEST_P(MaxMinInvariantSweep, NoLineExceedsCapacityAndAllocationIsMaximal) {
   const auto result = max_min_fair(t.graph, flows);
 
   // (1) capacity respected.
-  for (const auto& link : t.graph.links()) {
-    EXPECT_LE(result.line_used[static_cast<std::size_t>(link.id) * 2], link.rate * 1.0001);
-    EXPECT_LE(result.line_used[static_cast<std::size_t>(link.id) * 2 + 1],
-              link.rate * 1.0001);
+  for (const topo::LinkId id : t.graph.link_ids()) {
+    EXPECT_LE(result.line_used[static_cast<std::size_t>(id) * 2], t.graph.rate(id) * 1.0001);
+    EXPECT_LE(result.line_used[static_cast<std::size_t>(id) * 2 + 1],
+              t.graph.rate(id) * 1.0001);
   }
 
   // (2) maximality: every subflow crosses a saturated line.
@@ -360,7 +360,7 @@ TEST_P(MaxMinInvariantSweep, NoLineExceedsCapacityAndAllocationIsMaximal) {
       for (std::size_t i = 0; i < route.links.size(); ++i) {
         const std::size_t line = static_cast<std::size_t>(route.links[i]) * 2 +
                                  static_cast<std::size_t>(route.directions[i]);
-        const double cap = t.graph.link(route.links[i]).rate;
+        const double cap = t.graph.rate(route.links[i]);
         if (result.line_used[line] >= cap * 0.999) saturated = true;
       }
       EXPECT_TRUE(saturated) << "subflow " << sub << " could be raised";

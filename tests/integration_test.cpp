@@ -227,12 +227,13 @@ TEST(Integration, UtilizationMatchesOfferedLoadInFig20) {
   }
   net.run_until(flow.stop);
   // Find the S1->S2 mesh link.
-  for (const auto& link : t.graph.links()) {
+  for (const topo::LinkId id : t.graph.link_ids()) {
+    const topo::Link& link = t.graph.link(id);
     const bool s1s2 = (link.a == t.tors[0] && link.b == t.tors[1]) ||
                       (link.a == t.tors[1] && link.b == t.tors[0]);
     if (!s1s2) continue;
     const int dir = link.a == t.tors[0] ? 0 : 1;
-    EXPECT_NEAR(net.utilization(link.id, dir), 0.75, 0.05);
+    EXPECT_NEAR(net.utilization(id, dir), 0.75, 0.05);
   }
 }
 

@@ -130,8 +130,9 @@ TEST(Fib, MatchesEcmpOracleWithDeadAndLossyLinks) {
   // Kill one mesh lightpath and gray another; decisions must still be
   // identical (the lossy candidate forces the slow deflection scan).
   std::vector<topo::LinkId> mesh;
-  for (const auto& link : topo.graph.links()) {
-    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) mesh.push_back(link.id);
+  for (const topo::LinkId id : topo.graph.link_ids()) {
+    const topo::Link& link = topo.graph.link(id);
+    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) mesh.push_back(id);
   }
   ASSERT_GE(mesh.size(), 2u);
   view.set_dead(mesh[0], true);
@@ -153,8 +154,9 @@ TEST(Fib, MatchesVlbOracleHealthyAndUnderFailure) {
   EXPECT_GT(fib.stats().hits, fib.stats().slow_path);
 
   std::vector<topo::LinkId> mesh;
-  for (const auto& link : topo.graph.links()) {
-    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) mesh.push_back(link.id);
+  for (const topo::LinkId id : topo.graph.link_ids()) {
+    const topo::Link& link = topo.graph.link(id);
+    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) mesh.push_back(id);
   }
   view.set_dead(mesh[1], true);
   expect_walks_match(topo, oracle, fib);

@@ -266,8 +266,9 @@ TEST(HierOracle, HealingPicksArePinned) {
     oracle.attach_failure_view(&view);
     oracle.attach_loss_view(&loss);
     std::vector<LinkId> fabric;
-    for (const auto& link : t.graph.links()) {
-      if (t.graph.is_switch(link.a) && t.graph.is_switch(link.b)) fabric.push_back(link.id);
+    for (const topo::LinkId id : t.graph.link_ids()) {
+      const topo::Link& link = t.graph.link(id);
+      if (t.graph.is_switch(link.a) && t.graph.is_switch(link.b)) fabric.push_back(id);
     }
 
     const topo::CompositeMeta& meta = *t.composite;

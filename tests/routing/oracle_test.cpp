@@ -194,10 +194,11 @@ TEST(AdaptiveVlbOracle, DetoursWhenProbeReportsCongestion) {
   };
   // Find the direct lightpath between tors[0] and tors[3].
   topo::LinkId direct = topo::kInvalidLink;
-  for (const auto& link : f.topo.graph.links()) {
+  for (const topo::LinkId id : f.topo.graph.link_ids()) {
+    const topo::Link& link = f.topo.graph.link(id);
     if ((link.a == f.topo.tors[0] && link.b == f.topo.tors[3]) ||
         (link.a == f.topo.tors[3] && link.b == f.topo.tors[0])) {
-      direct = link.id;
+      direct = id;
     }
   }
   ASSERT_NE(direct, topo::kInvalidLink);
@@ -390,7 +391,7 @@ TEST(EcmpOracle, StaysDirectWhenEveryDetourIsWorse) {
   const NodeId dst = f.topo.host_groups[3][0];
   // The direct lightpath is gray (30%), but every other lightpath of
   // the mesh is worse (25% per leg = ~44% per two-hop detour).
-  for (const auto& link : f.topo.graph.links()) losses.loss[link.id] = 0.25;
+  for (const topo::LinkId id : f.topo.graph.link_ids()) losses.loss[id] = 0.25;
   losses.loss[direct_link(f.topo, f.topo.tors[0], f.topo.tors[3])] = 0.3;
   EXPECT_EQ(walk(f.topo.graph, oracle, src, dst, 7).size(), 2u);
 }
@@ -696,11 +697,12 @@ constexpr double kLossLevels[] = {0.01,        0.05,        0.1,  0.1 + 5e-13, 0
 /// often than host ports, which die too (the last-hop deflection).
 void draw_failures(const topo::Graph& graph, Rng& rng, FailureView& view, TableLossView& loss) {
   loss.clear();
-  for (const auto& link : graph.links()) {
+  for (const topo::LinkId id : graph.link_ids()) {
+    const topo::Link& link = graph.link(id);
     const bool mesh = graph.is_switch(link.a) && graph.is_switch(link.b);
-    view.set_dead(link.id, rng.next_below(100) < (mesh ? 15u : 3u));
+    view.set_dead(id, rng.next_below(100) < (mesh ? 15u : 3u));
     if (rng.next_below(100) < (mesh ? 40u : 10u)) {
-      loss.set(link.id, kLossLevels[rng.next_below(std::size(kLossLevels))]);
+      loss.set(id, kLossLevels[rng.next_below(std::size(kLossLevels))]);
     }
   }
 }

@@ -31,9 +31,10 @@ struct RegroomFixture {
   NodeId host(int sw, int i) const { return topo.host_groups[static_cast<std::size_t>(sw)][i]; }
 
   LinkId mesh_link(NodeId a, NodeId b) const {
-    for (const auto& link : topo.graph.links()) {
+    for (const topo::LinkId id : topo.graph.link_ids()) {
+      const topo::Link& link = topo.graph.link(id);
       if (link.wdm_channel < 0) continue;
-      if ((link.a == a && link.b == b) || (link.a == b && link.b == a)) return link.id;
+      if ((link.a == a && link.b == b) || (link.a == b && link.b == a)) return id;
     }
     return topo::kInvalidLink;
   }

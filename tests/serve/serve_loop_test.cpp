@@ -11,9 +11,10 @@ namespace {
 
 /// First mesh lightpath between two ring switches (by ring position).
 topo::LinkId mesh_link_between(const topo::BuiltTopology& topo, topo::NodeId a, topo::NodeId b) {
-  for (const auto& link : topo.graph.links()) {
+  for (const topo::LinkId id : topo.graph.link_ids()) {
+    const topo::Link& link = topo.graph.link(id);
     if (link.wdm_channel < 0) continue;
-    if ((link.a == a && link.b == b) || (link.a == b && link.b == a)) return link.id;
+    if ((link.a == a && link.b == b) || (link.a == b && link.b == a)) return id;
   }
   return topo::kInvalidLink;
 }

@@ -133,8 +133,9 @@ DigestResult run_storm_digest(std::uint64_t seed, bool use_fib) {
 
   // Gray failure on one mesh lightpath plus two staggered cuts.
   topo::LinkId gray = 0;
-  for (const auto& link : topo.graph.links()) {
-    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) gray = link.id;
+  for (const topo::LinkId id : topo.graph.link_ids()) {
+    const topo::Link& link = topo.graph.link(id);
+    if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) gray = id;
   }
   timers.at(milliseconds(2), [&net, gray] { net.set_link_loss(gray, 0.3); });
   timers.at(milliseconds(14), [&net, gray] { net.set_link_loss(gray, 0.0); });

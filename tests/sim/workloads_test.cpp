@@ -332,13 +332,14 @@ TEST(Network, UtilizationTracksLoad) {
   PoissonFlow source(net, f.topo.hosts[0], f.topo.hosts[5], task, flow, rng);
   net.run_until(flow.stop);
   // Find the sender's access link.
-  for (const auto& link : net.graph().links()) {
+  for (const topo::LinkId id : net.graph().link_ids()) {
+    const topo::Link& link = net.graph().link(id);
     if (link.a == f.topo.hosts[0] || link.b == f.topo.hosts[0]) {
       const int dir = link.a == f.topo.hosts[0] ? 0 : 1;
-      EXPECT_NEAR(net.utilization(link.id, dir), 0.5, 0.05);
-      EXPECT_GT(net.bits_sent(link.id, dir), 0);
+      EXPECT_NEAR(net.utilization(id, dir), 0.5, 0.05);
+      EXPECT_GT(net.bits_sent(id, dir), 0);
       // Reverse direction carried nothing.
-      EXPECT_EQ(net.bits_sent(link.id, 1 - dir), 0);
+      EXPECT_EQ(net.bits_sent(id, 1 - dir), 0);
     }
   }
 }

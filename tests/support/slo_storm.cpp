@@ -17,8 +17,9 @@ TimePs uniform_time(Rng& rng, TimePs lo, TimePs hi) {
 
 std::vector<topo::LinkId> wdm_links(const topo::BuiltTopology& topo) {
   std::vector<topo::LinkId> out;
-  for (const auto& link : topo.graph.links()) {
-    if (link.wdm_channel >= 0) out.push_back(link.id);
+  for (const topo::LinkId id : topo.graph.link_ids()) {
+    const topo::Link& link = topo.graph.link(id);
+    if (link.wdm_channel >= 0) out.push_back(id);
   }
   return out;
 }

@@ -291,13 +291,16 @@ std::uint64_t digest_of(const BuiltTopology& t) {
     d.add(n.label);
   }
   d.add(g.link_count());
-  for (const Link& l : g.links()) {
+  // Rate, propagation and the WDM tags are hashed in their pre-interning
+  // types (double, int64, int, int), so the pinned digests still hold.
+  for (const LinkId id : g.link_ids()) {
+    const Link& l = g.link(id);
     d.add(l.a);
     d.add(l.b);
-    d.add(l.rate);
-    d.add(l.propagation);
-    d.add(l.wdm_ring);
-    d.add(l.wdm_channel);
+    d.add(g.rate(id));
+    d.add(g.propagation(id));
+    d.add(static_cast<int>(l.wdm_ring));
+    d.add(static_cast<int>(l.wdm_channel));
   }
   for (const Node& n : g.nodes()) {
     const auto adj = g.neighbors(n.id);
@@ -414,14 +417,15 @@ TEST(Composite, LeafAddressesMatchTheGraph) {
       const int last = meta.levels() - 1;
 
       std::size_t lightpaths = 0;
-      for (const Link& link : g.links()) {
+      for (const LinkId id : g.link_ids()) {
+        const Link& link = g.link(id);
         if (!g.is_switch(link.a) || !g.is_switch(link.b) ||
             meta.divergence_level(link.a, link.b) != last) {
           continue;
         }
         ++lightpaths;
-        EXPECT_EQ(meta.leaf_mesh_link(link.a, meta.path_at(link.b, last)), link.id);
-        EXPECT_EQ(meta.leaf_mesh_link(link.b, meta.path_at(link.a, last)), link.id);
+        EXPECT_EQ(meta.leaf_mesh_link(link.a, meta.path_at(link.b, last)), id);
+        EXPECT_EQ(meta.leaf_mesh_link(link.b, meta.path_at(link.a, last)), id);
       }
       const auto m = static_cast<std::size_t>(meta.arity.back());
       EXPECT_EQ(lightpaths, meta.leaf_members.size() / m * (m * (m - 1) / 2));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sim/experiments.hpp"
@@ -147,14 +149,12 @@ TEST(Graph, WdmMetadataStored) {
   EXPECT_EQ(g.link(l).wdm_channel, 42);
 }
 
-void expect_same_link(const Link& x, const Link& y) {
-  EXPECT_EQ(x.id, y.id);
-  EXPECT_EQ(x.a, y.a);
-  EXPECT_EQ(x.b, y.b);
-  EXPECT_EQ(x.rate, y.rate);
-  EXPECT_EQ(x.propagation, y.propagation);
-  EXPECT_EQ(x.wdm_ring, y.wdm_ring);
-  EXPECT_EQ(x.wdm_channel, y.wdm_channel);
+/// A link as its readers see it: endpoints, rate, propagation, WDM tags.
+using LinkFields = std::tuple<NodeId, NodeId, BitsPerSecond, TimePs, int, int>;
+
+LinkFields fields(const Graph& g, LinkId id) {
+  const Link& l = g.link(id);
+  return {l.a, l.b, g.rate(id), g.propagation(id), l.wdm_ring, l.wdm_channel};
 }
 
 /// Two switch models, a host without a rack, WDM and plain links, and
@@ -212,11 +212,11 @@ TEST(Graph, SpliceShiftsIdsAndRemapsLabels) {
   EXPECT_EQ(s1.rack, 4);
 
   // Link ids shift by the parent's one link; WDM rings by the offset.
-  expect_same_link(g.link(1), Link{1, 3, 2, gigabits_per_second(10), nanoseconds(25), -1, -1});
-  expect_same_link(g.link(2), Link{2, 4, 2, gigabits_per_second(40), nanoseconds(250), 2, 5});
-  expect_same_link(g.link(3), Link{3, 2, 4, gigabits_per_second(40), nanoseconds(300), -1, -1});
-  expect_same_link(g.link(4), Link{4, 4, 3, gigabits_per_second(10), nanoseconds(25), -1, -1});
-  expect_same_link(g.link(0), splice_parent().link(0));
+  EXPECT_EQ(fields(g, 1), LinkFields(3, 2, gigabits_per_second(10), nanoseconds(25), -1, -1));
+  EXPECT_EQ(fields(g, 2), LinkFields(4, 2, gigabits_per_second(40), nanoseconds(250), 2, 5));
+  EXPECT_EQ(fields(g, 3), LinkFields(2, 4, gigabits_per_second(40), nanoseconds(300), -1, -1));
+  EXPECT_EQ(fields(g, 4), LinkFields(4, 3, gigabits_per_second(10), nanoseconds(25), -1, -1));
+  EXPECT_EQ(fields(g, 0), fields(splice_parent(), 0));
 }
 
 TEST(Graph, SpliceMatchesAddLinkReplay) {
@@ -236,15 +236,16 @@ TEST(Graph, SpliceMatchesAddLinkReplay) {
       replay.add_switch(model_map[static_cast<std::size_t>(n.model)], n.label, rack);
     }
   }
-  for (const Link& l : child.links()) {
-    replay.add_link(base + l.a, base + l.b, l.rate, l.propagation,
+  for (const LinkId id : child.link_ids()) {
+    const Link& l = child.link(id);
+    replay.add_link(base + l.a, base + l.b, child.rate(id), child.propagation(id),
                     l.wdm_ring < 0 ? -1 : 1 + l.wdm_ring, l.wdm_channel);
   }
 
   ASSERT_EQ(spliced.node_count(), replay.node_count());
   ASSERT_EQ(spliced.link_count(), replay.link_count());
-  for (std::size_t i = 0; i < replay.link_count(); ++i) {
-    expect_same_link(spliced.links()[i], replay.links()[i]);
+  for (const LinkId id : replay.link_ids()) {
+    EXPECT_EQ(fields(spliced, id), fields(replay, id));
   }
   for (const Node& n : replay.nodes()) {
     SCOPED_TRACE(n.label);
@@ -267,6 +268,110 @@ TEST(Graph, SpliceRejectsBadModelMaps) {
   EXPECT_THROW(g.splice(child, unknown, 0, 0), std::invalid_argument);
   EXPECT_THROW(g.splice(g, std::vector<int>{0}, 0, 0), std::invalid_argument);
   EXPECT_EQ(g.node_count(), 2u);  // nothing appended on rejection
+}
+
+TEST(Graph, SpliceKeepsEachLinksRateAndPropagation) {
+  // The parent already holds two of the child's three classes, in
+  // another order, so the child's class indices must be remapped.
+  Graph g;
+  const NodeId a = g.add_host("a");
+  const NodeId b = g.add_host("b");
+  g.add_link(a, b, gigabits_per_second(40), nanoseconds(300));
+  g.add_link(a, b, gigabits_per_second(10), nanoseconds(25));
+  const Graph child = splice_child();
+  ASSERT_EQ(child.link_classes().size(), 3u);
+  const std::vector<int> model_map = {g.add_model(SwitchModel::ull()),
+                                      g.add_model(SwitchModel::ccs())};
+  g.splice(child, model_map, 0, 0);
+
+  EXPECT_EQ(g.link_classes().size(), 3u);  // only (40G, 250 ns) is new
+  const auto base = static_cast<LinkId>(g.link_count() - child.link_count());
+  for (const LinkId id : child.link_ids()) {
+    EXPECT_EQ(g.rate(base + id), child.rate(id));
+    EXPECT_EQ(g.propagation(base + id), child.propagation(id));
+  }
+}
+
+TEST(Graph, RejectsWhatALinkRecordCannotHold) {
+  Graph g;
+  const NodeId a = g.add_host("a");
+  const NodeId b = g.add_host("b");
+  const BitsPerSecond rate = gigabits_per_second(10);
+  EXPECT_THROW(g.add_link(a, b, rate, 0, 0, 32768), std::invalid_argument);
+  EXPECT_THROW(g.add_link(a, b, rate, 0, 0, -32769), std::invalid_argument);
+  EXPECT_EQ(g.link_count(), 0u);
+  EXPECT_EQ(g.link_classes().size(), 0u);  // a rejected link interns nothing
+  EXPECT_EQ(g.link(g.add_link(a, b, rate, 0, 0, 32767)).wdm_channel, 32767);
+  EXPECT_EQ(g.link(g.add_link(a, b, rate, 0, 0, -32768)).wdm_channel, -32768);
+
+  // Link::link_class is 16 bits wide, so the class count stops at 65,535.
+  for (TimePs propagation = 1; propagation < 65'535; ++propagation) {
+    g.add_link(a, b, rate, propagation);
+  }
+  ASSERT_EQ(g.link_classes().size(), 65'535u);
+  const std::size_t links = g.link_count();
+  EXPECT_THROW(g.add_link(a, b, rate, 65'535), std::invalid_argument);
+  EXPECT_EQ(g.link_count(), links);
+  g.add_link(a, b, rate, 7);  // a known pair still interns
+  EXPECT_EQ(g.rate(g.link_ids().back()), rate);
+  EXPECT_EQ(g.propagation(g.link_ids().back()), 7);
+
+  // A child with one pair the parent lacks is rejected before anything
+  // is appended; a child of known pairs splices.  (A child cannot carry
+  // an out-of-range channel: its own add_link rejected it.)
+  Graph child;
+  const NodeId c = child.add_host("c");
+  const NodeId d = child.add_host("d");
+  child.add_link(c, d, rate, 3);
+  EXPECT_NO_THROW(g.splice(child, {}, 0, 0));
+  child.add_link(c, d, gigabits_per_second(40), 3);
+  EXPECT_THROW(g.splice(child, {}, 0, 0), std::invalid_argument);
+  EXPECT_EQ(g.node_count(), 4u);
+  EXPECT_EQ(g.link_classes().size(), 65'535u);
+}
+
+/// Every link's (rate, propagation) pair has exactly one class.
+void expect_one_class_per_pair(const Graph& g) {
+  std::set<std::pair<BitsPerSecond, TimePs>> pairs;
+  for (const LinkId id : g.link_ids()) pairs.emplace(g.rate(id), g.propagation(id));
+  EXPECT_EQ(g.link_classes().size(), pairs.size());
+}
+
+TEST(Graph, LinkClassesAreInterned) {
+  // A repeated pair reuses its class, also after the last hit moved on.
+  Graph g;
+  const NodeId a = g.add_host("a");
+  const NodeId b = g.add_host("b");
+  const LinkId host = g.add_link(a, b, gigabits_per_second(10), nanoseconds(25));
+  const LinkId again = g.add_link(a, b, gigabits_per_second(10), nanoseconds(25));
+  const LinkId slower = g.add_link(a, b, gigabits_per_second(10), nanoseconds(250));
+  const LinkId faster = g.add_link(a, b, gigabits_per_second(40), nanoseconds(25));
+  const LinkId back = g.add_link(a, b, gigabits_per_second(10), nanoseconds(25));
+  ASSERT_EQ(g.link_classes().size(), 3u);
+  EXPECT_EQ(g.link(again).link_class, g.link(host).link_class);
+  EXPECT_EQ(g.link(back).link_class, g.link(host).link_class);
+  EXPECT_NE(g.link(slower).link_class, g.link(host).link_class);
+  EXPECT_NE(g.link(faster).link_class, g.link(slower).link_class);
+  EXPECT_EQ(g.rate(faster), gigabits_per_second(40));
+  EXPECT_EQ(g.propagation(slower), nanoseconds(250));
+
+  for (const sim::Fabric fabric :
+       {sim::Fabric::kThreeTierTree, sim::Fabric::kJellyfish, sim::Fabric::kQuartzInCore,
+        sim::Fabric::kQuartzInEdge, sim::Fabric::kQuartzInEdgeAndCore,
+        sim::Fabric::kQuartzInJellyfish}) {
+    SCOPED_TRACE(sim::fabric_name(fabric));
+    expect_one_class_per_pair(sim::build_fabric(fabric).topo.graph);
+  }
+
+  // The scale_hybrid shape, one level smaller: host links, leaf
+  // lightpaths and trunks are the only classes.
+  CompositeParams hybrid;
+  hybrid.spec = *CompositeSpec::parse("ring-of-rings:16x16x16+10");
+  hybrid.foreground_leaf_switches = 16 + 2;
+  hybrid.foreground_hosts_per_switch = 1;
+  const BuiltTopology t = build_composite(hybrid);
+  EXPECT_EQ(t.graph.link_classes().size(), 3u);
+  expect_one_class_per_pair(t.graph);
 }
 
 /// neighbors(v) lists exactly v's incident links in increasing link
@@ -426,8 +531,8 @@ TEST(Graph, QuartzMeshFromPlanMatchesPlainOverload) {
   EXPECT_EQ(planned_rings, plain_rings);
   ASSERT_EQ(planned.link_count(), plain.link_count());
   EXPECT_EQ(plain.link_count(), 9u * 8u / 2u);
-  for (std::size_t i = 0; i < plain.link_count(); ++i) {
-    expect_same_link(planned.links()[i], plain.links()[i]);
+  for (const LinkId id : plain.link_ids()) {
+    EXPECT_EQ(fields(planned, id), fields(plain, id));
   }
 }
 
