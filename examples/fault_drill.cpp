@@ -15,18 +15,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
-#include <fstream>
 #include <vector>
 
-#include "common/flags.hpp"
+#include "cli.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
-#include "sim/network.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/sampler.hpp"
 #include "topo/failures.hpp"
 #include "core/fault.hpp"
@@ -100,7 +96,8 @@ int run(int argc, char** argv) {
   if (flags.has("switches")) switches = static_cast<int>(flags.get_int("switches", switches));
   if (flags.has("trials")) trials = static_cast<int>(flags.get_int("trials", trials));
   if (switches < 4 || trials < 1) return usage(argv[0]);
-  telemetry::MetricRegistry metrics(flags.has("metrics-out"));
+  cli::RunOutputs outputs(flags);
+  telemetry::MetricRegistry& metrics = outputs.metrics();
 
   std::printf("Fault drill: %d-switch Quartz mesh, %d Monte Carlo trials/cell\n\n", switches,
               trials);
@@ -213,26 +210,7 @@ int run(int argc, char** argv) {
       metrics.gauge("drill.mean_detection_lag_us").set(timeline.mean_detection_lag_us());
     }
   }
-  if (metrics.enabled()) {
-    const std::string path = flags.get("metrics-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    metrics.write_csv(out);
-    std::printf("metrics: %s\n", path.c_str());
-  }
-  return 0;
+  return outputs.finish() ? 0 : 1;
 }
 
-int main(int argc, char** argv) {
-  // Examples never throw on bad argv: surface the parse error and the
-  // usage text instead of an abort.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return quartz::cli::guarded_main(run, argc, argv); }

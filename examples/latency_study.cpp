@@ -6,29 +6,15 @@
 //   $ ./latency_study [--tasks=N] [--duration-ms=D]
 //   $ ./latency_study --trace                # adds the per-component breakdown
 //   $ ./latency_study --metrics-out=m.csv    # dumps the metric registry
-#include <chrono>
 #include <cstdio>
-#include <exception>
 #include <cstdlib>
-#include <fstream>
-#include <utility>
-
-#include "chaos/sharded_storm.hpp"
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/flags.hpp"
+#include "cli.hpp"
 #include "common/table.hpp"
 #include "sim/experiments.hpp"
-#include "topo/composite.hpp"
 #include "sim/sweep.hpp"
-#include "sim/workloads.hpp"
-#include "telemetry/binary_stream.hpp"
-#include "telemetry/decode.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 #include "topo/properties.hpp"
 
 namespace {
@@ -77,26 +63,10 @@ int run(int argc, char** argv) {
         argv[0]);
     return unknown.empty() ? 0 : 1;
   }
-  const std::string fib_mode = flags.get("fib", "on");
-  if (fib_mode != "on" && fib_mode != "off") {
-    std::printf("--fib must be 'on' or 'off', got '%s'\n", fib_mode.c_str());
-    return 1;
-  }
+  FabricConfig fabric_config;
   std::string composite_spec;
-  if (flags.has("topology")) {
-    const std::string topology = flags.get("topology");
-    constexpr std::string_view kPrefix = "composite:";
-    if (topology.rfind(kPrefix, 0) != 0) {
-      std::printf("--topology only knows composite:<spec>, got '%s'\n", topology.c_str());
-      return 1;
-    }
-    composite_spec = topology.substr(kPrefix.size());
-    std::string spec_error;
-    if (!topo::CompositeSpec::parse(composite_spec, &spec_error).has_value()) {
-      std::printf("bad composite spec '%s': %s\n", composite_spec.c_str(), spec_error.c_str());
-      return 1;
-    }
-  }
+  if (!cli::parse_fib(flags, &fabric_config.use_fib)) return 1;
+  if (!cli::parse_topology(flags, &composite_spec)) return 1;
   // Positional task count kept for compatibility with the old argv form.
   int positional_tasks = 4;
   if (!flags.positional().empty()) {
@@ -128,39 +98,8 @@ int run(int argc, char** argv) {
     std::printf("--tasks, --duration-ms and --sample-every must be positive\n");
     return 1;
   }
-  telemetry::MetricRegistry metrics(flags.has("metrics-out"));
-  const std::string telemetry_mode = flags.get("telemetry", "off");
-  if (telemetry_mode != "off" && telemetry_mode != "binary" && telemetry_mode != "jsonl") {
-    std::printf("--telemetry must be binary, jsonl or off, got '%s'\n", telemetry_mode.c_str());
-    return 1;
-  }
-  if (telemetry_mode != "off" && !flags.has("metrics-out")) {
-    std::printf("--telemetry=%s needs --metrics-out to derive its output path\n",
-                telemetry_mode.c_str());
-    return 1;
-  }
-  std::ofstream stream_os;
-  std::unique_ptr<telemetry::StreamFile> stream_file;
-  std::ofstream events_os;
-  std::string stream_path;
-  std::string events_path;
-  if (telemetry_mode != "off") {
-    stream_path = flags.get("metrics-out") + ".qtz";
-    stream_os.open(stream_path, std::ios::binary);
-    if (!stream_os) {
-      std::fprintf(stderr, "cannot open %s\n", stream_path.c_str());
-      return 1;
-    }
-    stream_file = std::make_unique<telemetry::StreamFile>(stream_os);
-  }
-  if (telemetry_mode == "jsonl") {
-    events_path = flags.get("metrics-out") + ".events.jsonl";
-    events_os.open(events_path, std::ios::binary);
-    if (!events_os) {
-      std::fprintf(stderr, "cannot open %s\n", events_path.c_str());
-      return 1;
-    }
-  }
+  cli::RunOutputs outputs(flags);
+  if (!outputs.valid(stdout) || !outputs.open()) return 1;
 
   std::printf("Latency study: %d concurrent tasks per pattern, 64-host fabrics\n\n", tasks);
 
@@ -173,8 +112,6 @@ int run(int argc, char** argv) {
   std::vector<StudyFabric> study = {{"three-tier tree", Fabric::kThreeTierTree},
                                     {"quartz edge+core", Fabric::kQuartzInEdgeAndCore}};
   if (!composite_spec.empty()) study.push_back({"composite", Fabric::kComposite});
-  FabricConfig fabric_config;
-  fabric_config.use_fib = fib_mode == "on";
   if (!composite_spec.empty()) fabric_config.composite = composite_spec;
 
   // ---- topology-level view --------------------------------------------
@@ -226,16 +163,14 @@ int run(int argc, char** argv) {
     params.duration = milliseconds(duration_ms);
     params.telemetry.trace = trace;
     params.telemetry.trace_sample_every = sample_every;
-    if (metrics.enabled()) params.telemetry.metrics = &cell_metrics[ctx.index];
-    if (stream_file != nullptr) {
-      // One stream per sweep cell; the shared StreamFile serializes page
-      // appends, so any --jobs value writes the same decodable file.
-      params.telemetry.stream = stream_file.get();
-      params.telemetry.stream_id = static_cast<std::uint32_t>(ctx.index);
-    }
+    if (outputs.metrics().enabled()) params.telemetry.metrics = &cell_metrics[ctx.index];
+    // One stream per sweep cell; the shared StreamFile serializes page
+    // appends, so any --jobs value writes the same decodable file.
+    params.telemetry.stream = outputs.stream();
+    params.telemetry.stream_id = static_cast<std::uint32_t>(ctx.index);
     return run_task_experiment(cell.fabric, fabric_config, params);
   });
-  for (const telemetry::MetricRegistry& cell : cell_metrics) metrics.merge(cell);
+  for (const telemetry::MetricRegistry& cell : cell_metrics) outputs.metrics().merge(cell);
   const std::size_t columns = study.size();
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const Pattern pattern = patterns[i];
@@ -275,76 +210,23 @@ int run(int argc, char** argv) {
     // intra-run sharded engine, serial vs sharded, digests compared.
     chaos::ShardedStormParams storm;
     storm.composite = composite_spec;
-    storm.cuts = 0;
-    storm.gray_links = 0;
-    storm.flapping_links = 0;
-    storm.storm_start = 0;
-    storm.storm_end = 0;
-    storm.shards = 1;
-    auto timed = [&storm] {
-      const auto start = std::chrono::steady_clock::now();
-      const chaos::ShardedStormResult result = chaos::run_storm(storm);
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      return std::make_pair(result, wall);
-    };
-    const auto [serial, serial_wall] = timed();
+    const auto [serial, serial_rate] = cli::run_fault_free_storm(storm);
     storm.shards = shards;
-    const auto [sharded, sharded_wall] = timed();
+    const auto [sharded, sharded_rate] = cli::run_fault_free_storm(storm);
     const bool match = serial.delivery_digest == sharded.delivery_digest &&
                        serial.drop_digest == sharded.drop_digest;
     std::printf("\nparallel engine (%s, %s partition, lookahead %.0f ns):\n",
                 composite_spec.c_str(), sharded.strategy.c_str(),
                 static_cast<double>(sharded.lookahead) * 1e-3);
-    std::printf("  shards=1: %.0f events/s   shards=%d: %.0f events/s\n",
-                serial_wall > 0 ? static_cast<double>(serial.events) / serial_wall : 0.0,
-                shards,
-                sharded_wall > 0 ? static_cast<double>(sharded.events) / sharded_wall : 0.0);
+    std::printf("  shards=1: %.0f events/s   shards=%d: %.0f events/s\n", serial_rate, shards,
+                sharded_rate);
     std::printf("  delivery digest %016llx %s\n",
                 static_cast<unsigned long long>(sharded.delivery_digest),
                 match ? "(byte-identical to serial)" : "(MISMATCH vs serial)");
     if (!match) return 1;
   }
 
-  if (metrics.enabled()) {
-    const std::string path = flags.get("metrics-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    metrics.write_csv(out);
-    std::printf("metrics: %s\n", path.c_str());
-  }
-  if (stream_file != nullptr) {
-    stream_os.flush();
-    std::printf("event stream: %s (%llu pages, %llu bytes)\n", stream_path.c_str(),
-                static_cast<unsigned long long>(stream_file->pages()),
-                static_cast<unsigned long long>(stream_file->bytes()));
-  }
-  if (events_os.is_open()) {
-    // --telemetry=jsonl is capture plus decode: the cells interleave in
-    // the decoder's (time, stream, seq) order, identical for any --jobs.
-    std::ifstream capture(stream_path, std::ios::binary);
-    const telemetry::DecodeStats stats = telemetry::decode_jsonl({&capture}, events_os);
-    events_os.flush();
-    if (!events_os || !stats.gaps.empty()) {
-      std::fprintf(stderr, "cannot decode %s into %s\n", stream_path.c_str(),
-                   events_path.c_str());
-      return 1;
-    }
-    std::printf("events: %s\n", events_path.c_str());
-  }
-  return 0;
+  return outputs.finish() ? 0 : 1;
 }
 
-int main(int argc, char** argv) {
-  // Examples never throw on bad argv: surface the parse error and the
-  // usage text instead of an abort.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return cli::guarded_main(run, argc, argv); }

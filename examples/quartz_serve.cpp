@@ -25,20 +25,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/flags.hpp"
+#include "cli.hpp"
 #include "common/table.hpp"
 #include "serve/serve_loop.hpp"
 #include "sim/fault_injection.hpp"
 #include "snapshot/io.hpp"
-#include "telemetry/binary_stream.hpp"
-#include "telemetry/decode.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/stream_sink.hpp"
 
 namespace {
 
@@ -103,7 +97,7 @@ void print_report(const char* label, const serve::ServeReport& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   for (const auto& key :
        flags.unknown_keys({"switches", "hosts", "arrivals", "duration-ms", "hot", "shift-ms",
@@ -184,52 +178,10 @@ int main(int argc, char** argv) {
                 100.0 * hot, to_microseconds(config.shifts.front().at) / 1000.0);
   }
 
-  const std::string telemetry_mode = flags.get("telemetry", "off");
-  if (telemetry_mode != "off" && telemetry_mode != "binary" && telemetry_mode != "jsonl") {
-    std::fprintf(stderr, "--telemetry must be binary, jsonl or off, got '%s'\n",
-                 telemetry_mode.c_str());
-    return usage(argv[0]);
-  }
-  if (telemetry_mode != "off" && !flags.has("metrics-out")) {
-    std::fprintf(stderr, "--telemetry=%s needs --metrics-out to derive its output path\n",
-                 telemetry_mode.c_str());
-    return usage(argv[0]);
-  }
-
+  cli::RunOutputs outputs(flags);
+  if (!outputs.valid(stderr)) return usage(argv[0]);
   serve::ServeLoop loop(config);
-
-  // Observability on the live loop: the binary stream rides the
-  // devirtualized fast path with a background page drainer; JSONL is
-  // decoded from that capture once the run ends.
-  std::ofstream stream_os;
-  std::unique_ptr<telemetry::StreamFile> stream_file;
-  std::unique_ptr<telemetry::BinaryStream> stream;
-  std::unique_ptr<telemetry::BinaryStreamSink> stream_sink;
-  std::ofstream events_os;
-  std::string stream_path;
-  std::string events_path;
-  if (telemetry_mode != "off") {
-    stream_path = flags.get("metrics-out") + ".qtz";
-    stream_os.open(stream_path, std::ios::binary);
-    if (!stream_os) {
-      std::fprintf(stderr, "cannot open %s\n", stream_path.c_str());
-      return 1;
-    }
-    stream_file = std::make_unique<telemetry::StreamFile>(stream_os);
-    telemetry::BinaryStream::Options stream_options;
-    stream_options.background = true;
-    stream = std::make_unique<telemetry::BinaryStream>(*stream_file, stream_options);
-    stream_sink = std::make_unique<telemetry::BinaryStreamSink>(*stream);
-    loop.network().set_stream_sink(stream_sink.get());
-  }
-  if (telemetry_mode == "jsonl") {
-    events_path = flags.get("metrics-out") + ".events.jsonl";
-    events_os.open(events_path, std::ios::binary);
-    if (!events_os) {
-      std::fprintf(stderr, "cannot open %s\n", events_path.c_str());
-      return 1;
-    }
-  }
+  if (!outputs.open(&loop.network())) return 1;
 
   sim::FaultScheduler faults(loop.network());
   if (flags.get_bool("blackhole")) {
@@ -267,10 +219,8 @@ int main(int argc, char** argv) {
                      checkpoint_dir.c_str());
       }
     }
-    serve::ServeLoop::CheckpointOptions options;
-    options.dir = checkpoint_dir;
-    options.every = milliseconds(checkpoint_every_ms);
-    options.start_sequence = start_sequence;
+    const serve::ServeLoop::CheckpointOptions options{
+        checkpoint_dir, milliseconds(checkpoint_every_ms), start_sequence};
     if (kill_at_us <= 0) {
       defended = loop.run_with_checkpoints(options);
     } else {
@@ -280,50 +230,26 @@ int main(int argc, char** argv) {
       const TimePs end = config.duration + config.drain;
       if (loop.network().now() == 0 && start_sequence == 0) loop.start();
       std::uint64_t sequence = start_sequence;
-      TimePs next = (loop.network().now() / options.every + 1) * options.every;
-      while (next < end) {
-        loop.run_to(std::min(next, kill_at));
-        if (loop.network().now() >= kill_at) {
-          std::fprintf(stderr, "simulated crash at %.3f ms after checkpoint %llu\n",
-                       to_microseconds(loop.network().now()) / 1000.0,
-                       static_cast<unsigned long long>(sequence));
-          std::_Exit(137);
-        }
+      auto run_or_crash = [&](TimePs until) {
+        loop.run_to(std::min(until, kill_at));
+        if (loop.network().now() < kill_at || kill_at >= end) return;
+        std::fprintf(stderr, "simulated crash at %.3f ms after checkpoint %llu\n",
+                     to_microseconds(loop.network().now()) / 1000.0,
+                     static_cast<unsigned long long>(sequence));
+        std::_Exit(137);
+      };
+      for (TimePs next = (loop.network().now() / options.every + 1) * options.every; next < end;
+           next += options.every) {
+        run_or_crash(next);
         snapshot::Writer writer;
         loop.save_snapshot(writer);
         ++sequence;
         snapshot::write_file_atomic(snapshot::checkpoint_path(checkpoint_dir, sequence), writer,
                                     sequence);
-        next += options.every;
       }
-      loop.run_to(std::min(end, kill_at));
-      if (loop.network().now() >= kill_at && kill_at < end) {
-        std::fprintf(stderr, "simulated crash at %.3f ms after checkpoint %llu\n",
-                     to_microseconds(loop.network().now()) / 1000.0,
-                     static_cast<unsigned long long>(sequence));
-        std::_Exit(137);
-      }
+      run_or_crash(end);
       defended = loop.finish();
     }
-  }
-  if (stream != nullptr) {
-    loop.network().set_stream_sink(nullptr);
-    stream->finish();
-    stream_os.flush();
-    std::printf("event stream: %s (%llu pages, %llu bytes)\n", stream_path.c_str(),
-                static_cast<unsigned long long>(stream_file->pages()),
-                static_cast<unsigned long long>(stream_file->bytes()));
-  }
-  if (events_os.is_open()) {
-    std::ifstream capture(stream_path, std::ios::binary);
-    const telemetry::DecodeStats stats = telemetry::decode_jsonl({&capture}, events_os);
-    events_os.flush();
-    if (!events_os || !stats.gaps.empty()) {
-      std::fprintf(stderr, "cannot decode %s into %s\n", stream_path.c_str(),
-                   events_path.c_str());
-      return 1;
-    }
-    std::printf("events: %s\n", events_path.c_str());
   }
   print_report("defended run", defended);
 
@@ -346,17 +272,8 @@ int main(int argc, char** argv) {
                           static_cast<double>(baseline.in_deadline));
   }
 
-  if (flags.has("metrics-out")) {
-    telemetry::MetricRegistry metrics;
-    loop.publish_metrics(metrics, "serve");
-    const std::string path = flags.get("metrics-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    metrics.write_csv(out);
-    std::printf("metrics: %s\n", path.c_str());
-  }
-  return 0;
+  if (outputs.metrics().enabled()) loop.publish_metrics(outputs.metrics(), "serve");
+  return outputs.finish() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return cli::guarded_main(run, argc, argv); }

@@ -6,23 +6,12 @@
 //   $ ./simulate --fabric=three-tier --pattern=gather --tasks=8 --csv
 //   $ ./simulate --list
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <exception>
-#include <fstream>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "chaos/sharded_storm.hpp"
-#include "common/flags.hpp"
+#include "cli.hpp"
 #include "sim/experiments.hpp"
-#include "topo/composite.hpp"
-#include "telemetry/binary_stream.hpp"
-#include "telemetry/decode.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace {
 
@@ -43,6 +32,14 @@ const std::vector<std::pair<std::string, Pattern>> kPatterns = {
     {"gather", Pattern::kGather},
     {"scatter-gather", Pattern::kScatterGather},
 };
+
+template <class T>
+const T* lookup(const std::vector<std::pair<std::string, T>>& table, const std::string& name) {
+  for (const auto& [key, value] : table) {
+    if (key == name) return &value;
+  }
+  return nullptr;
+}
 
 int usage(const char* argv0) {
   std::printf(
@@ -96,54 +93,24 @@ int run(int argc, char** argv) {
       {"fabric", "topology", "pattern", "tasks", "fanout", "rate-mbps", "duration-ms", "seed",
        "csv", "localized", "vlb", "fib", "list", "trace", "sample-every", "metrics-out",
        "replicas", "jobs", "shards", "telemetry"});
-  if (!unknown.empty()) {
-    for (const auto& key : unknown) std::printf("unknown flag --%s\n", key.c_str());
-    return usage(argv[0]);
-  }
+  for (const auto& key : unknown) std::printf("unknown flag --%s\n", key.c_str());
+  if (!unknown.empty()) return usage(argv[0]);
 
   std::string fabric_name = flags.get("fabric", "quartz-edge-core");
   const std::string pattern_name = flags.get("pattern", "scatter");
-  Fabric fabric = Fabric::kQuartzInEdgeAndCore;
-  Pattern pattern = Pattern::kScatter;
   std::string composite_spec;
-  bool found = false;
-  if (flags.has("topology")) {
-    // --topology=composite:<spec> builds a hierarchical composed fabric
-    // (topo::CompositeSpec grammar), e.g. composite:ring-of-rings:8x8@2.
-    const std::string topology = flags.get("topology");
-    constexpr std::string_view kPrefix = "composite:";
-    if (topology.rfind(kPrefix, 0) != 0) {
-      std::printf("--topology only knows composite:<spec>, got '%s'\n", topology.c_str());
-      return usage(argv[0]);
-    }
-    composite_spec = topology.substr(kPrefix.size());
-    std::string error;
-    if (!topo::CompositeSpec::parse(composite_spec, &error).has_value()) {
-      std::printf("bad composite spec '%s': %s\n", composite_spec.c_str(), error.c_str());
-      return usage(argv[0]);
-    }
-    fabric = Fabric::kComposite;
-    fabric_name = topology;
-    found = true;
-  }
-  for (const auto& [name, value] : kFabrics) {
-    if (!found && name == fabric_name) {
-      fabric = value;
-      found = true;
-    }
-  }
-  if (!found) {
+  if (!cli::parse_topology(flags, &composite_spec)) return usage(argv[0]);
+  Fabric fabric = Fabric::kComposite;
+  if (!composite_spec.empty()) {
+    fabric_name = flags.get("topology");
+  } else if (const Fabric* named = lookup(kFabrics, fabric_name)) {
+    fabric = *named;
+  } else {
     std::printf("unknown fabric '%s' (try --list)\n", fabric_name.c_str());
     return usage(argv[0]);
   }
-  found = false;
-  for (const auto& [name, value] : kPatterns) {
-    if (name == pattern_name) {
-      pattern = value;
-      found = true;
-    }
-  }
-  if (!found) {
+  const Pattern* pattern = lookup(kPatterns, pattern_name);
+  if (pattern == nullptr) {
     std::printf("unknown pattern '%s' (try --list)\n", pattern_name.c_str());
     return usage(argv[0]);
   }
@@ -152,15 +119,10 @@ int run(int argc, char** argv) {
   if (!composite_spec.empty()) config.composite = composite_spec;
   config.vlb_fraction = flags.get_double("vlb", 0.0);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string fib_mode = flags.get("fib", "on");
-  if (fib_mode != "on" && fib_mode != "off") {
-    std::printf("--fib must be 'on' or 'off', got '%s'\n", fib_mode.c_str());
-    return usage(argv[0]);
-  }
-  config.use_fib = fib_mode == "on";
+  if (!cli::parse_fib(flags, &config.use_fib)) return usage(argv[0]);
 
   TaskExperimentParams params;
-  params.pattern = pattern;
+  params.pattern = *pattern;
   params.tasks = static_cast<int>(flags.get_int("tasks", 4));
   params.fanout = static_cast<int>(flags.get_int("fanout", 15));
   params.per_flow_rate = megabits_per_second(flags.get_double("rate-mbps", 200.0));
@@ -216,11 +178,6 @@ int run(int argc, char** argv) {
     storm.composite = composite_spec;
     storm.shards = shards;
     storm.seed = config.seed;
-    storm.cuts = 0;
-    storm.gray_links = 0;
-    storm.flapping_links = 0;
-    storm.storm_start = 0;
-    storm.storm_end = 0;
     storm.run_until = milliseconds(flags.get_int("duration-ms", 10));
     // Per-host send cadence from the requested per-flow rate.
     const double rate_mbps = flags.get_double("rate-mbps", 200.0);
@@ -228,12 +185,7 @@ int run(int argc, char** argv) {
         1, static_cast<TimePs>(static_cast<double>(storm.packet_size) * 1e6 / rate_mbps));
     storm.packets_per_host =
         static_cast<int>(std::min<std::int64_t>(100000, storm.run_until / storm.packet_gap));
-    const auto wall_start = std::chrono::steady_clock::now();
-    const chaos::ShardedStormResult result = chaos::run_storm(storm);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    const double events_per_s =
-        wall_s > 0.0 ? static_cast<double>(result.events) / wall_s : 0.0;
+    const auto [result, events_per_s] = cli::run_fault_free_storm(storm);
     if (flags.get_bool("csv")) {
       std::printf("fabric,shards,strategy,lookahead_ns,mean_us,p99_us,deliveries,drops,events,"
                   "events_per_sec,delivery_digest\n");
@@ -262,65 +214,15 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  telemetry::MetricRegistry metrics(flags.has("metrics-out"));
+  cli::RunOutputs outputs(flags);
+  if (!outputs.valid(stdout)) return usage(argv[0]);
+  if (!outputs.open()) return 1;
   params.telemetry.trace = flags.get_bool("trace");
   params.telemetry.trace_sample_every =
       static_cast<std::uint32_t>(flags.get_int("sample-every", 1));
-  params.telemetry.metrics = metrics.enabled() ? &metrics : nullptr;
-
-  const std::string telemetry_mode = flags.get("telemetry", "off");
-  if (telemetry_mode != "off" && telemetry_mode != "binary" && telemetry_mode != "jsonl") {
-    std::printf("--telemetry must be binary, jsonl or off, got '%s'\n", telemetry_mode.c_str());
-    return usage(argv[0]);
-  }
-  if (telemetry_mode != "off" && !flags.has("metrics-out")) {
-    std::printf("--telemetry=%s needs --metrics-out to derive its output path\n",
-                telemetry_mode.c_str());
-    return usage(argv[0]);
-  }
-  std::ofstream stream_os;
-  std::unique_ptr<telemetry::StreamFile> stream_file;
-  std::ofstream events_os;
-  std::string stream_path;
-  std::string events_path;
-  if (telemetry_mode != "off") {
-    stream_path = flags.get("metrics-out") + ".qtz";
-    stream_os.open(stream_path, std::ios::binary);
-    if (!stream_os) {
-      std::fprintf(stderr, "cannot open %s\n", stream_path.c_str());
-      return 1;
-    }
-    // StreamFile serializes page appends, so every replica (even across
-    // sweep workers) can share this one file; each run tags its pages
-    // with its replica index and the decoder merges deterministically.
-    stream_file = std::make_unique<telemetry::StreamFile>(stream_os);
-    params.telemetry.stream = stream_file.get();
-    params.telemetry.stream_background = true;
-  }
-  if (telemetry_mode == "jsonl") {
-    events_path = flags.get("metrics-out") + ".events.jsonl";
-    events_os.open(events_path, std::ios::binary);
-    if (!events_os) {
-      std::fprintf(stderr, "cannot open %s\n", events_path.c_str());
-      return 1;
-    }
-  }
-  // --telemetry=jsonl is capture plus decode: the .qtz is decoded into
-  // the JSONL file once the run (every replica) has finished.
-  auto decode_events = [&] {
-    if (!events_os.is_open()) return true;
-    stream_os.flush();
-    std::ifstream capture(stream_path, std::ios::binary);
-    const telemetry::DecodeStats stats = telemetry::decode_jsonl({&capture}, events_os);
-    events_os.flush();
-    if (!events_os || !stats.gaps.empty()) {
-      std::fprintf(stderr, "cannot decode %s into %s\n", stream_path.c_str(),
-                   events_path.c_str());
-      return false;
-    }
-    std::printf("events: %s\n", events_path.c_str());
-    return true;
-  };
+  if (outputs.metrics().enabled()) params.telemetry.metrics = &outputs.metrics();
+  params.telemetry.stream = outputs.stream();
+  params.telemetry.stream_background = true;
 
   if (replicas > 1) {
     SweepOptions sweep;
@@ -349,17 +251,7 @@ int run(int argc, char** argv) {
                   static_cast<unsigned long long>(sweep_result.packets_measured),
                   static_cast<unsigned long long>(sweep_result.packets_dropped));
     }
-    if (metrics.enabled()) {
-      const std::string path = flags.get("metrics-out");
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 1;
-      }
-      metrics.write_csv(out);
-      std::printf("metrics: %s\n", path.c_str());
-    }
-    return decode_events() ? 0 : 1;
+    return outputs.finish() ? 0 : 1;
   }
 
   const TaskExperimentResult result = run_task_experiment(fabric, config, params);
@@ -394,32 +286,7 @@ int run(int argc, char** argv) {
         static_cast<unsigned long long>(d.packets), d.host_us, d.queueing_us,
         d.serialization_us, d.switching_us, d.propagation_us, d.total_us);
   }
-  if (metrics.enabled()) {
-    const std::string path = flags.get("metrics-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    metrics.write_csv(out);
-    std::printf("metrics: %s\n", path.c_str());
-  }
-  if (stream_file != nullptr) {
-    stream_os.flush();
-    std::printf("event stream: %s (%llu pages, %llu bytes)\n", stream_path.c_str(),
-                static_cast<unsigned long long>(stream_file->pages()),
-                static_cast<unsigned long long>(stream_file->bytes()));
-  }
-  return decode_events() ? 0 : 1;
+  return outputs.finish() ? 0 : 1;
 }
 
-int main(int argc, char** argv) {
-  // Examples never throw on bad argv: surface the parse error and the
-  // usage text instead of an abort.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return cli::guarded_main(run, argc, argv); }
