@@ -250,9 +250,10 @@ void run_decode_fidelity() {
   QUARTZ_CHECK(bytes_per_event <= 32.0, "binary stream exceeds its 32 bytes/event budget");
   const std::string direct_text = direct.str();
   const std::string decoded_text = decoded.str();
-  const std::uint64_t direct_digest = telemetry::fnv1a(direct_text.data(), direct_text.size());
+  const std::uint64_t direct_digest =
+      fnv1a(direct_text.data(), direct_text.size(), telemetry::kDigestSeed);
   const std::uint64_t decoded_digest =
-      telemetry::fnv1a(decoded_text.data(), decoded_text.size());
+      fnv1a(decoded_text.data(), decoded_text.size(), telemetry::kDigestSeed);
   std::printf("\ndecode fidelity: direct fnv1a:%016" PRIx64 ", decoded fnv1a:%016" PRIx64
               " (%llu records)\n",
               direct_digest, decoded_digest, static_cast<unsigned long long>(records));

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "optical/budget.hpp"
@@ -29,21 +30,6 @@ constexpr TimePs kFixedDetectionDelay = microseconds(50);
 /// Tail latency may exceed the pre-storm baseline by this fraction
 /// before the recovery invariant fails.
 constexpr double kLatencyTolerance = 0.25;
-
-/// Keyed PRF over (seed, domain, a, b): the workload's only source of
-/// randomness.  Pure function — every shard count derives the same
-/// schedule, destinations and flow hashes.
-std::uint64_t prf(std::uint64_t seed, std::uint64_t domain, std::uint64_t a, std::uint64_t b) {
-  auto mix = [](std::uint64_t x) {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  std::uint64_t x = mix(seed ^ (domain + 0x9e3779b97f4a7c15ull));
-  x = mix(x + a);
-  x = mix(x + b);
-  return x;
-}
 
 topo::BuiltTopology build_storm_topo(const ShardedStormParams& params) {
   if (params.composite.empty()) {
@@ -100,13 +86,6 @@ sim::ProbePlane::Options storm_probe_options(const ShardedStormParams& params) {
   options.interval = params.probe_interval;
   options.seed = params.seed ^ 0x50524FBEull;
   return options;
-}
-
-void mix_digest(std::uint64_t& digest, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    digest ^= (value >> (8 * byte)) & 0xFF;
-    digest *= 1099511628211ull;
-  }
 }
 
 TimePs uniform_time(Rng& rng, TimePs lo, TimePs hi) {
@@ -554,8 +533,8 @@ ShardedStormResult ShardedStormRun::finish() {
   std::vector<std::size_t> cursor(streams.size(), 0);
   std::vector<double> latencies;
   latencies.reserve(delivered);
-  result.delivery_digest = 14695981039346656037ull;  // FNV-1a offset
-  result.drop_digest = 14695981039346656037ull;
+  result.delivery_digest = kFnvOffsetBasis;
+  result.drop_digest = kFnvOffsetBasis;
   for (;;) {
     int best = -1;
     for (std::size_t s = 0; s < streams.size(); ++s) {
@@ -570,9 +549,9 @@ ShardedStormResult ShardedStormRun::finish() {
     const StormShard::Rec& rec =
         (*streams[static_cast<std::size_t>(best)])[cursor[static_cast<std::size_t>(best)]++];
     std::uint64_t& digest = rec.kind == 0 ? result.delivery_digest : result.drop_digest;
-    mix_digest(digest, rec.id);
-    mix_digest(digest, static_cast<std::uint64_t>(rec.when));
-    mix_digest(digest, rec.aux);
+    digest = fnv1a_u64(digest, rec.id);
+    digest = fnv1a_u64(digest, static_cast<std::uint64_t>(rec.when));
+    digest = fnv1a_u64(digest, rec.aux);
     if (rec.kind == 0) {
       ++result.deliveries;
       latencies.push_back(static_cast<double>(rec.aux));

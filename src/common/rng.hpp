@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace quartz {
 
@@ -25,17 +26,13 @@ struct RngState {
 
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) { reseed(seed); }
+  explicit Rng(std::uint64_t seed = kSplitMixGamma) { reseed(seed); }
 
   void reseed(std::uint64_t seed) {
     // SplitMix64 expansion of the seed into the 256-bit state.
-    std::uint64_t x = seed;
     for (auto& word : state_) {
-      x += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      word = z ^ (z >> 31);
+      word = splitmix64(seed);
+      seed += kSplitMixGamma;
     }
   }
 

@@ -146,13 +146,6 @@ topo::LinkId EcmpRouting::host_link(topo::NodeId dst) const {
   return host_link_[static_cast<std::size_t>(dst)];
 }
 
-std::uint64_t mix_hash(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 std::size_t hash_select(std::uint64_t flow_hash, std::uint64_t salt, std::size_t n) {
   QUARTZ_REQUIRE(n > 0, "cannot select from an empty set");
   return static_cast<std::size_t>(mix_hash(flow_hash ^ mix_hash(salt)) % n);

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "topo/graph.hpp"
 
 namespace quartz::routing {
@@ -91,7 +92,7 @@ class EcmpRouting {
 };
 
 /// Deterministic 64-bit mix used for flow-hash based path selection.
-std::uint64_t mix_hash(std::uint64_t x);
+constexpr std::uint64_t mix_hash(std::uint64_t x) { return splitmix64(x); }
 
 /// Pick an index in [0, n) from a flow hash and a salt (e.g. node id),
 /// so the same flow picks consistently at each switch.

@@ -145,7 +145,7 @@ topo::LinkId HierOracle::next_link(topo::NodeId node, FlowKey& key) const {
     if (count == 0) return primary;
     const std::int32_t k = nth_kept(
         siblings,
-        hash_select(key.flow_hash, static_cast<std::uint64_t>(node) ^ 0x9e3779b97f4a7c15ull, count),
+        hash_select(key.flow_hash, static_cast<std::uint64_t>(node) ^ kSplitMixGamma, count),
         alive);
     key.via = meta_->trunk(level, parent, e_u, k).peer_gateway;
     key.vlb_done = true;

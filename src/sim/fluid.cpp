@@ -8,20 +8,6 @@
 
 namespace quartz::sim {
 
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 FluidBackground::FluidBackground(Network& net, const routing::RoutingOracle& oracle,
                                  std::vector<FluidDemand> demands, FluidParams params)
     : net_(&net),
@@ -124,10 +110,10 @@ void FluidBackground::solve_epoch() {
   }
 
   ++epochs_;
-  digest_ = fnv_mix(digest_, epochs_);
+  digest_ = fnv1a_u64(digest_, epochs_);
   for (const std::size_t line : biased_lines_) {
-    digest_ = fnv_mix(digest_, static_cast<std::uint64_t>(line));
-    digest_ = fnv_mix(digest_, static_cast<std::uint64_t>(bias_[line]));
+    digest_ = fnv1a_u64(digest_, static_cast<std::uint64_t>(line));
+    digest_ = fnv1a_u64(digest_, static_cast<std::uint64_t>(bias_[line]));
   }
 }
 

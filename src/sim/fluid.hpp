@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "flow/maxmin.hpp"
 #include "sim/network.hpp"
 
@@ -108,7 +109,7 @@ class FluidBackground final : public TimerHandler {
   ZeroArray<TimePs> bias_;
   std::vector<std::size_t> biased_lines_;  ///< lines with non-zero bias
   std::uint64_t epochs_ = 0;
-  std::uint64_t digest_ = 14695981039346656037ull;
+  std::uint64_t digest_ = kFnvOffsetBasis;
   double aggregate_ = 0.0;
 };
 

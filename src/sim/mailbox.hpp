@@ -28,6 +28,7 @@
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "sim/event_queue.hpp"
 
 namespace quartz::sim {
@@ -40,11 +41,7 @@ namespace quartz::sim {
 /// id, so two shards that both see packet P at time T order it
 /// identically without exchanging anything.
 inline constexpr std::uint64_t shard_stamp(std::uint64_t packet_id) {
-  std::uint64_t x = packet_id + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x = x ^ (x >> 31);
-  return x | 1;
+  return splitmix64(packet_id) | 1;
 }
 
 class Mailbox final {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "routing/fib.hpp"
 #include "snapshot/io.hpp"
 #include "telemetry/stream_sink.hpp"
@@ -18,14 +19,7 @@ namespace {
 /// or how many corruption checks ran before it.  Serial (unbound) runs
 /// keep the historical sequential RNG stream.
 double hashed_corruption_u01(std::uint64_t seed, std::uint64_t id, std::uint64_t hops_link) {
-  auto mix = [](std::uint64_t x) {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  std::uint64_t x = mix(seed + 0x9e3779b97f4a7c15ull);
-  x = mix(x + id);
-  x = mix(x + hops_link);
+  const std::uint64_t x = splitmix64_mix(splitmix64_mix(splitmix64(seed) + id) + hops_link);
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "topo/composite.hpp"
 
 namespace quartz::sim {
@@ -23,15 +24,8 @@ topo::NodeId attachment_switch(const topo::Graph& g, topo::NodeId host) {
 }  // namespace
 
 std::uint64_t PartitionPlan::layout_digest() const {
-  std::uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(shards));
-  for (const std::int32_t s : owner) mix(static_cast<std::uint64_t>(s));
+  std::uint64_t h = fnv1a_u64(kFnvOffsetBasis, static_cast<std::uint64_t>(shards));
+  for (const std::int32_t s : owner) h = fnv1a_u64(h, static_cast<std::uint64_t>(s));
   return h;
 }
 

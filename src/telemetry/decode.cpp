@@ -18,16 +18,6 @@
 
 namespace quartz::telemetry {
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // --- JsonlEventWriter -------------------------------------------------------
 
 void JsonlEventWriter::on_send(const sim::Packet& p, TimePs ready) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "telemetry/sink.hpp"
 
@@ -120,9 +121,8 @@ class JsonlEventWriter final : public TelemetrySink {
   std::uint64_t events_ = 0;
 };
 
-/// FNV-1a over a byte range — the digest `quartz_decode --digest`
-/// prints for a decoded JSONL.
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t seed = 1469598103934665603ull);
+/// Seed of the fnv1a digest `quartz_decode --digest` prints: one digit
+/// short of the FNV offset basis, kept so printed digests compare.
+inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
 
 }  // namespace quartz::telemetry

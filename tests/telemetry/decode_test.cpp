@@ -123,8 +123,8 @@ TEST(Decode, FullVocabularyRoundTripsByteIdentical) {
   EXPECT_TRUE(stats.gaps.empty());
   EXPECT_EQ(stats.orphan_records, 0u);
   EXPECT_EQ(direct.str(), decoded);
-  EXPECT_EQ(fnv1a(direct.str().data(), direct.str().size()),
-            fnv1a(decoded.data(), decoded.size()));
+  EXPECT_EQ(fnv1a(direct.str().data(), direct.str().size(), kDigestSeed),
+            fnv1a(decoded.data(), decoded.size(), kDigestSeed));
 }
 
 std::string read_file(const std::string& path) {
@@ -281,7 +281,8 @@ TEST(Decode, ExperimentCaptureMatchesTheLegacyDirectExport) {
   const std::string decoded = decode_to_jsonl(file, &stats);
   EXPECT_TRUE(stats.gaps.empty());
   EXPECT_EQ(stats.records, writer.events());
-  EXPECT_EQ(fnv1a(live.data(), live.size()), fnv1a(decoded.data(), decoded.size()));
+  EXPECT_EQ(fnv1a(live.data(), live.size(), kDigestSeed),
+            fnv1a(decoded.data(), decoded.size(), kDigestSeed));
   EXPECT_TRUE(live == decoded);
 }
 
