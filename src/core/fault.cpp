@@ -34,25 +34,15 @@ class DisjointSets {
 
 FaultTrial evaluate_failures(const wavelength::Assignment& plan, int physical_rings,
                              const std::vector<std::pair<int, int>>& failed_ring_segments) {
-  QUARTZ_REQUIRE(physical_rings >= 1, "need at least one ring");
   const int m = plan.ring_size;
-
-  // Failed-segment mask per physical ring.
-  std::vector<std::uint64_t> failed_mask(static_cast<std::size_t>(physical_rings), 0);
-  for (const auto& [ring, segment] : failed_ring_segments) {
-    QUARTZ_REQUIRE(ring >= 0 && ring < physical_rings, "ring index out of range");
-    QUARTZ_REQUIRE(segment >= 0 && segment < m, "segment index out of range");
-    failed_mask[static_cast<std::size_t>(ring)] |= (1ull << segment);
-  }
+  wavelength::FiberCuts cuts(m, physical_rings);
+  for (const auto& [ring, segment] : failed_ring_segments) cuts.cut(ring, segment);
 
   FaultTrial trial;
   trial.total_lightpaths = static_cast<int>(plan.paths.size());
   DisjointSets components(m);
   for (const auto& path : plan.paths) {
-    const int ring = wavelength::ring_for_channel(path.channel, physical_rings);
-    const std::uint64_t arc =
-        wavelength::segment_mask(m, path.src, path.dst, path.dir);
-    if ((arc & failed_mask[static_cast<std::size_t>(ring)]) != 0) {
+    if (cuts.severs(path)) {
       ++trial.lost_lightpaths;
     } else {
       components.unite(path.src, path.dst);

@@ -19,23 +19,15 @@ namespace {
 std::set<std::pair<int, int>> severed_pairs(int ring_size, int phys_base, int phys_count,
                                             const std::vector<FiberCut>& cuts,
                                             const wavelength::Assignment& plan) {
-  std::vector<std::uint64_t> failed_mask(static_cast<std::size_t>(phys_count), 0);
-  bool any = false;
+  wavelength::FiberCuts failed(ring_size, phys_count);
   for (const FiberCut& cut : cuts) {
     if (cut.ring < phys_base || cut.ring >= phys_base + phys_count) continue;
-    QUARTZ_REQUIRE(cut.segment >= 0 && cut.segment < ring_size, "cut segment out of range");
-    failed_mask[static_cast<std::size_t>(cut.ring - phys_base)] |= (1ull << cut.segment);
-    any = true;
+    failed.cut(cut.ring - phys_base, cut.segment);
   }
-
   std::set<std::pair<int, int>> severed;
-  if (!any) return severed;
+  if (failed.empty()) return severed;
   for (const auto& path : plan.paths) {
-    const int ring = wavelength::ring_for_channel(path.channel, phys_count);
-    const std::uint64_t arc = wavelength::segment_mask(ring_size, path.src, path.dst, path.dir);
-    if ((arc & failed_mask[static_cast<std::size_t>(ring)]) != 0) {
-      severed.insert({path.src, path.dst});
-    }
+    if (failed.severs(path)) severed.insert({path.src, path.dst});
   }
   return severed;
 }

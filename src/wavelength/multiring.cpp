@@ -32,4 +32,22 @@ std::vector<int> channels_per_ring(const Assignment& assignment, int physical_ri
   return counts;
 }
 
+FiberCuts::FiberCuts(int ring_size, int physical_rings)
+    : ring_size_(ring_size), failed_(static_cast<std::size_t>(physical_rings), 0) {
+  QUARTZ_REQUIRE(physical_rings >= 1, "need at least one ring");
+}
+
+void FiberCuts::cut(int ring, int segment) {
+  QUARTZ_REQUIRE(ring >= 0 && ring < static_cast<int>(failed_.size()), "ring index out of range");
+  QUARTZ_REQUIRE(segment >= 0 && segment < ring_size_, "segment index out of range");
+  failed_[static_cast<std::size_t>(ring)] |= 1ull << segment;
+  empty_ = false;
+}
+
+bool FiberCuts::severs(const Lightpath& path) const {
+  const int ring = ring_for_channel(path.channel, static_cast<int>(failed_.size()));
+  return (segment_mask(ring_size_, path.src, path.dst, path.dir) &
+          failed_[static_cast<std::size_t>(ring)]) != 0;
+}
+
 }  // namespace quartz::wavelength

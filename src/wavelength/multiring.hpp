@@ -25,4 +25,23 @@ int ring_for_channel(int channel, int physical_rings);
 /// `physical_rings` rings (each must fit within a mux's capacity).
 std::vector<int> channels_per_ring(const Assignment& assignment, int physical_rings);
 
+/// Fiber cuts on a ring of `ring_size` switches whose plan is striped
+/// over `physical_rings` rings, one failed-span mask per ring.  Fig. 6's
+/// severing rule: a lightpath is lost when its arc crosses a cut span
+/// of the ring carrying its channel.
+class FiberCuts {
+ public:
+  FiberCuts(int ring_size, int physical_rings);
+
+  /// Cut span `segment` (0..ring_size-1) of physical ring `ring`.
+  void cut(int ring, int segment);
+  bool empty() const { return empty_; }
+  bool severs(const Lightpath& path) const;
+
+ private:
+  int ring_size_;
+  std::vector<std::uint64_t> failed_;
+  bool empty_ = true;
+};
+
 }  // namespace quartz::wavelength
