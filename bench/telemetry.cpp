@@ -251,9 +251,9 @@ void run_decode_fidelity() {
   const std::string direct_text = direct.str();
   const std::string decoded_text = decoded.str();
   const std::uint64_t direct_digest =
-      fnv1a(direct_text.data(), direct_text.size(), telemetry::kDigestSeed);
+      fnv1a(direct_text.data(), direct_text.size(), kFnvOffsetBasis);
   const std::uint64_t decoded_digest =
-      fnv1a(decoded_text.data(), decoded_text.size(), telemetry::kDigestSeed);
+      fnv1a(decoded_text.data(), decoded_text.size(), kFnvOffsetBasis);
   std::printf("\ndecode fidelity: direct fnv1a:%016" PRIx64 ", decoded fnv1a:%016" PRIx64
               " (%llu records)\n",
               direct_digest, decoded_digest, static_cast<unsigned long long>(records));

@@ -218,7 +218,7 @@ int run(int argc, char** argv) {
     std::fwrite(text.data(), 1, text.size(), stdout);
   }
   if (flags.get_bool("digest")) {
-    std::fprintf(stderr, "fnv1a:%016" PRIx64 "\n", fnv1a(text.data(), text.size(), kDigestSeed));
+    std::fprintf(stderr, "fnv1a:%016" PRIx64 "\n", fnv1a(text.data(), text.size(), kFnvOffsetBasis));
   }
   // Gaps are recoverable (that is the point of the page format), but a
   // stream that needed recovery should not look pristine in scripts.

@@ -50,8 +50,11 @@ void EventQueue::save(snapshot::Writer& w, const HandlerMap& handlers) const {
   entries.reserve(size_);
   entries.insert(entries.end(), active_.begin(), active_.end());
   entries.insert(entries.end(), far_.begin(), far_.end());
-  for (const auto& bucket : buckets_)
-    entries.insert(entries.end(), bucket.begin(), bucket.end());
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    if ((bitmap_[b >> 6] & (std::uint64_t{1} << (b & 63))) == 0) continue;
+    for (std::uint32_t node = head_[b]; node != kNil; node = nodes_[node].next)
+      entries.push_back(nodes_[node].entry);
+  }
   QUARTZ_CHECK(entries.size() == size_, "tier bookkeeping out of sync");
   std::sort(entries.begin(), entries.end(),
             [](const HeapEntry& a, const HeapEntry& b) { return a.seq < b.seq; });

@@ -22,9 +22,20 @@
 // allocations.  Every event is plain data, so any pending set can be
 // snapshotted.
 //
+// A packet keeps one slot from schedule_packet() until it is delivered
+// or dropped.  dispatch() hands the handler the pooled PacketEvent
+// itself; the handler edits it in place and re-keys the same slot with
+// rearm_packet() for the packet's next hop.  A slot the handler does
+// not re-arm is released when the handler returns.  Pools are built
+// from fixed-size blocks that never move, so the reference stays valid
+// while the handler schedules other events.
+//
 // The pending set is a two-tier calendar: a small exact (time, stamp, seq)
 // min-heap for the active ~4 ns window, unsorted FIFO buckets for the
 // ~2 us wheel ahead of it, and an overflow heap beyond the horizon.
+// The wheel's buckets are linked lists threaded through one node pool,
+// so the wheel allocates only while that pool grows to its high-water
+// mark, not once per bucket.
 // Dense packet workloads pay O(1) bucket appends plus sifts through a
 // heap of a handful of entries instead of the whole in-flight set;
 // sparse workloads degrade gracefully to the overflow heap (the wheel
@@ -37,6 +48,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -104,7 +116,9 @@ struct TimerEvent {
 class EventHandler {
  public:
   virtual ~EventHandler() = default;
-  /// `event` is a popped copy: the handler may mutate and move from it.
+  /// `event` is the packet's pooled slot, valid until the handler
+  /// returns.  The handler may edit it in place and re-arm it with
+  /// EventQueue::rearm_packet(); otherwise the slot is released.
   virtual void on_packet_event(EventType type, PacketEvent& event) = 0;
   virtual void on_fault_event(const FaultEvent& event) = 0;
 };
@@ -138,7 +152,9 @@ struct HandlerMap {
 /// Fixed-type slot arena with free-list recycling.  acquire() reuses a
 /// released slot when one exists and grows the arena otherwise, so once
 /// the pool reaches the high-water mark of simultaneously in-flight
-/// events it never allocates again.
+/// events it never allocates again.  Slots live in fixed-size blocks
+/// that are never moved: a reference to a slot survives any number of
+/// later acquires.
 template <typename T>
 class SlotPool {
  public:
@@ -148,23 +164,25 @@ class SlotPool {
       free_.pop_back();
       return slot;
     }
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+    if (count_ == blocks_.size() * kBlockSize) blocks_.push_back(std::make_unique<T[]>(kBlockSize));
+    return count_++;
   }
   void release(std::uint32_t slot) { free_.push_back(slot); }
-  T& operator[](std::uint32_t slot) { return slots_[slot]; }
-  const T& operator[](std::uint32_t slot) const { return slots_[slot]; }
-  /// Slots ever created (the high-water mark of in-flight events).
-  std::size_t capacity() const { return slots_.size(); }
-  /// Drop every slot (restore repopulates a fresh pool).
-  void clear() {
-    slots_.clear();
-    free_.clear();
+  T& operator[](std::uint32_t slot) { return blocks_[slot >> kBlockShift][slot & kBlockMask]; }
+  const T& operator[](std::uint32_t slot) const {
+    return blocks_[slot >> kBlockShift][slot & kBlockMask];
   }
+  /// Slots ever created (the high-water mark of in-flight events).
+  std::size_t capacity() const { return count_; }
 
  private:
-  std::vector<T> slots_;
+  static constexpr std::uint32_t kBlockShift = 8;
+  static constexpr std::uint32_t kBlockSize = 1u << kBlockShift;
+  static constexpr std::uint32_t kBlockMask = kBlockSize - 1;
+
+  std::vector<std::unique_ptr<T[]>> blocks_;
   std::vector<std::uint32_t> free_;
+  std::uint32_t count_ = 0;
 };
 
 class EventQueue {
@@ -182,11 +200,21 @@ class EventQueue {
   /// comment and sim/sharded.hpp).
   void schedule_packet(TimePs when, EventType type, const PacketEvent& event,
                        std::uint64_t stamp = 0) {
-    QUARTZ_CHECK(type == EventType::kHeaderDecision || type == EventType::kTransmitComplete ||
-                     type == EventType::kDelivery,
-                 "not a packet event type");
+    QUARTZ_CHECK(is_packet(type), "not a packet event type");
     const std::uint32_t slot = packets_.acquire();
     packets_[slot] = event;
+    push_entry_at(when, stamp, next_seq_++, type, slot);
+  }
+
+  /// Re-key the packet slot being dispatched (the PacketEvent& the
+  /// handler holds, already edited in place) as a new pending event.
+  /// Ordering is exactly that of schedule_packet() with a copy: the
+  /// sequence number is taken here.  At most once per dispatch.
+  void rearm_packet(TimePs when, EventType type, std::uint64_t stamp = 0) {
+    QUARTZ_CHECK(held_ != kNil, "rearm_packet outside a packet dispatch, or twice in one");
+    QUARTZ_CHECK(is_packet(type), "not a packet event type");
+    const std::uint32_t slot = held_;
+    held_ = kNil;
     push_entry_at(when, stamp, next_seq_++, type, slot);
   }
 
@@ -309,6 +337,12 @@ class EventQueue {
     std::uint32_t slot;
   };
 
+  /// A wheel entry: bucket lists are threaded through one pool of these.
+  struct WheelNode {
+    HeapEntry entry;
+    std::uint32_t next;
+  };
+
   // The calendar's geometry: 2^12 ps (~4.1 ns) buckets, 512 of them,
   // so the wheel covers ~2.1 us of lookahead beyond the active window
   // — comfortably past the per-hop delays of a dense packet workload.
@@ -319,6 +353,12 @@ class EventQueue {
   static constexpr std::size_t kBucketMask = kBucketCount - 1;
   static constexpr std::size_t kBitmapWords = kBucketCount / 64;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};  ///< no node / no slot
+
+  static bool is_packet(EventType type) {
+    return type == EventType::kHeaderDecision || type == EventType::kTransmitComplete ||
+           type == EventType::kDelivery;
+  }
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -348,12 +388,28 @@ class EventQueue {
       // Inside (or behind) the active window: exact heap.
       heap_push(active_, HeapEntry{when, stamp, seq, type, slot});
     } else if (idx - cursor_ <= kBucketCount) {
-      // Within the wheel horizon: O(1) append.  Each slot holds at
-      // most one bucket index at a time because the live range
-      // (cursor_, cursor_ + kBucketCount] is exactly one revolution.
+      // Within the wheel horizon: O(1) append to the bucket's list.
+      // Each bucket holds at most one bucket index at a time because
+      // the live range (cursor_, cursor_ + kBucketCount] is exactly one
+      // revolution.  head_/tail_ are meaningful only while the bucket's
+      // bitmap bit is set.
       const std::size_t b = idx & kBucketMask;
-      buckets_[b].push_back(HeapEntry{when, stamp, seq, type, slot});
-      bitmap_[b >> 6] |= std::uint64_t{1} << (b & 63);
+      std::uint32_t node = free_node_;
+      if (node != kNil) {
+        free_node_ = nodes_[node].next;
+      } else {
+        node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+      }
+      nodes_[node] = WheelNode{HeapEntry{when, stamp, seq, type, slot}, kNil};
+      const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+      if (bitmap_[b >> 6] & bit) {
+        nodes_[tail_[b]].next = node;
+      } else {
+        head_[b] = node;
+        bitmap_[b >> 6] |= bit;
+      }
+      tail_[b] = node;
       ++wheel_count_;
     } else {
       // Beyond the horizon: overflow heap, migrated when its window
@@ -374,9 +430,14 @@ class EventQueue {
     cursor_ = next;
     const std::size_t b = cursor_ & kBucketMask;
     if (bitmap_[b >> 6] & (std::uint64_t{1} << (b & 63))) {
-      for (const HeapEntry& e : buckets_[b]) heap_push(active_, e);
-      wheel_count_ -= buckets_[b].size();
-      buckets_[b].clear();  // keeps capacity: no steady-state allocation
+      for (std::uint32_t node = head_[b]; node != kNil; node = nodes_[node].next) {
+        heap_push(active_, nodes_[node].entry);
+        --wheel_count_;
+      }
+      // Splice the whole list onto the free list: no steady-state
+      // allocation.
+      nodes_[tail_[b]].next = free_node_;
+      free_node_ = head_[b];
       bitmap_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     }
     while (!far_.empty() && bucket_index(far_.front().time) <= cursor_)
@@ -398,10 +459,10 @@ class EventQueue {
   }
 
   TimePs bucket_min_time(std::uint64_t idx) const {
-    const std::vector<HeapEntry>& bucket = buckets_[idx & kBucketMask];
-    TimePs best = bucket.front().time;
-    for (const HeapEntry& e : bucket)
-      if (e.time < best) best = e.time;
+    std::uint32_t node = head_[idx & kBucketMask];
+    TimePs best = nodes_[node].entry.time;
+    for (node = nodes_[node].next; node != kNil; node = nodes_[node].next)
+      if (nodes_[node].entry.time < best) best = nodes_[node].entry.time;
     return best;
   }
 
@@ -451,12 +512,13 @@ class EventQueue {
       case EventType::kHeaderDecision:
       case EventType::kTransmitComplete:
       case EventType::kDelivery: {
-        // Copy the payload out and release the slot BEFORE dispatch so
-        // the handler may schedule into the recycled slot re-entrantly.
-        PacketEvent event = packets_[entry.slot];
-        packets_.release(entry.slot);
+        // In place: the handler edits the pooled slot and may re-arm
+        // it; a slot it did not re-arm is released once it returns.
         QUARTZ_CHECK(handler_ != nullptr, "typed packet event but no handler attached");
-        handler_->on_packet_event(entry.type, event);
+        held_ = entry.slot;
+        handler_->on_packet_event(entry.type, packets_[entry.slot]);
+        if (held_ == entry.slot) packets_.release(entry.slot);
+        held_ = kNil;
         return;
       }
       case EventType::kFaultTransition: {
@@ -478,7 +540,10 @@ class EventQueue {
 
   std::vector<HeapEntry> active_;              ///< exact heap for windows <= cursor_
   std::vector<HeapEntry> far_;                 ///< overflow heap beyond the wheel
-  std::vector<HeapEntry> buckets_[kBucketCount];
+  std::vector<WheelNode> nodes_;               ///< the wheel's node pool
+  std::uint32_t free_node_ = kNil;             ///< free-list head in nodes_
+  std::uint32_t head_[kBucketCount] = {};      ///< per-bucket list head (bit set only)
+  std::uint32_t tail_[kBucketCount] = {};      ///< per-bucket list tail (bit set only)
   std::uint64_t bitmap_[kBitmapWords] = {};    ///< bucket-occupancy bits
   std::uint64_t cursor_ = 0;                   ///< bucket index of the active window
   std::size_t wheel_count_ = 0;                ///< entries across all buckets
@@ -487,6 +552,7 @@ class EventQueue {
   SlotPool<FaultEvent> faults_;
   SlotPool<TimerEvent> timers_;
   EventHandler* handler_ = nullptr;
+  std::uint32_t held_ = kNil;  ///< packet slot being dispatched, until re-armed
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;

@@ -242,7 +242,7 @@ void Network::send(topo::NodeId src, topo::NodeId dst, Bits size, int task,
 void Network::on_packet_event(EventType type, PacketEvent& event) {
   switch (type) {
     case EventType::kHeaderDecision:
-      transmit(std::move(event.packet), event.node, event.t0, event.t1);
+      transmit(event);
       return;
     case EventType::kTransmitComplete: {
       // A packet queued on or propagating over a link that failed under
@@ -269,7 +269,7 @@ void Network::on_packet_event(EventType type, PacketEvent& event) {
           return;
         }
       }
-      arrive(std::move(event.packet), event.node, event.t0, event.t1);
+      arrive(event);
       return;
     }
     case EventType::kDelivery: {
@@ -286,18 +286,24 @@ void Network::on_packet_event(EventType type, PacketEvent& event) {
   }
 }
 
-void Network::arrive(Packet packet, topo::NodeId node, TimePs first_bit, TimePs last_bit) {
+void Network::arrive(PacketEvent& event) {
   const topo::Graph& graph = topo_->graph;
+  Packet& packet = event.packet;
+  const topo::NodeId node = event.node;
+  const TimePs first_bit = event.t0;
+  const TimePs last_bit = event.t1;
   QUARTZ_CHECK(owns_node(node), "packet arrived at a node this shard does not own");
   emit([&](auto& sink) { sink.on_arrival(packet, node, first_bit, last_bit); });
 
+  // The next event is off-link: clear the transit fields, so a pending
+  // event reads (and snapshots) the same as a freshly built one.
+  event.link = -1;
+  event.link_seq = 0;
   if (node == packet.key.dst) {
     const TimePs delivered = last_bit + config_.host_recv_overhead;
-    PacketEvent event;
-    event.packet = std::move(packet);
-    event.node = node;
     event.t0 = delivered;
-    events_.schedule_packet(delivered, EventType::kDelivery, event, stamp_of(event.packet));
+    event.t1 = 0;
+    events_.rearm_packet(delivered, EventType::kDelivery, stamp_of(packet));
     return;
   }
 
@@ -320,16 +326,17 @@ void Network::arrive(Packet packet, topo::NodeId node, TimePs first_bit, TimePs 
     kind = telemetry::HopKind::kServerRelay;
   }
   emit([&](auto& sink) { sink.on_forward(packet, node, kind, first_bit, last_bit, decision); });
-  PacketEvent event;
-  event.packet = std::move(packet);
-  event.node = node;
   event.t0 = decision;
   event.t1 = min_finish;
-  events_.schedule_packet(decision, EventType::kHeaderDecision, event, stamp_of(event.packet));
+  events_.rearm_packet(decision, EventType::kHeaderDecision, stamp_of(packet));
 }
 
-void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs min_finish) {
+void Network::transmit(PacketEvent& event) {
   const topo::Graph& graph = topo_->graph;
+  Packet& packet = event.packet;
+  const topo::NodeId node = event.node;
+  const TimePs ready = event.t0;
+  const TimePs min_finish = event.t1;
   QUARTZ_CHECK(owns_node(node), "transmit at a node this shard does not own");
   const topo::LinkId link_id =
       fib_ != nullptr ? fib_->next_link(node, packet.key) : oracle_->next_link(node, packet.key);
@@ -376,14 +383,12 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
   // The in-flight packet carries the link state it observed at
   // transmission; the fail/loss checks happen when the head lands
   // (on_packet_event, kTransmitComplete).
-  PacketEvent event;
-  event.packet = std::move(packet);
   event.node = peer;
   event.link = link_id;
   event.link_seq = link_seq_[static_cast<std::size_t>(link_id)];
   event.t0 = first_bit;
   event.t1 = last_bit;
-  const std::uint64_t stamp = stamp_of(event.packet);
+  const std::uint64_t stamp = stamp_of(packet);
   if (shard_bound_ && !owns_node(peer)) {
     // The head lands in another shard: hand the transit over through
     // that shard's inbox.  first_bit >= (window start) + lookahead, so
@@ -393,7 +398,7 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
     ++mail_posted_;
     return;
   }
-  events_.schedule_packet(first_bit, EventType::kTransmitComplete, event, stamp);
+  events_.rearm_packet(first_bit, EventType::kTransmitComplete, stamp);
 }
 
 void Network::save(snapshot::Writer& w, const HandlerMap& handlers) const {

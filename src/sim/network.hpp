@@ -284,16 +284,19 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   const topo::BuiltTopology& topology() const { return *topo_; }
 
  private:
-  // EventHandler: the engine hands popped typed events back here.
+  // EventHandler: the engine hands each packet's pooled slot back here;
+  // transmit/arrive edit it in place and re-arm it for the next hop.
   void on_packet_event(EventType type, PacketEvent& event) override;
   void on_fault_event(const FaultEvent& event) override;
 
-  /// Packet fully/partially arrived at `node`: deliver, or forward.
-  void arrive(Packet packet, topo::NodeId node, TimePs first_bit, TimePs last_bit);
+  /// The packet's head landed at event.node (t0 = first bit, t1 = last
+  /// bit): re-arm the slot as its delivery or next header decision.
+  void arrive(PacketEvent& event);
 
-  /// Make the forwarding decision at `node` and put the packet on its
-  /// next line.  `decision_ready` is when the output port may start.
-  void transmit(Packet packet, topo::NodeId node, TimePs decision_ready, TimePs last_bit_in);
+  /// Make the forwarding decision at event.node and put the packet on
+  /// its next line (t0 = when the output port may start, t1 = minimum
+  /// finish time); re-arm the slot as the transit, or mail it out.
+  void transmit(PacketEvent& event);
 
   /// Account a drop (global, per-reason, per-task) and emit it.
   void drop(const Packet& packet, DropReason reason);

@@ -121,8 +121,4 @@ class JsonlEventWriter final : public TelemetrySink {
   std::uint64_t events_ = 0;
 };
 
-/// Seed of the fnv1a digest `quartz_decode --digest` prints: one digit
-/// short of the FNV offset basis, kept so printed digests compare.
-inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
-
 }  // namespace quartz::telemetry

@@ -7,7 +7,7 @@
 #         -P tests/cli_checks.cmake
 #
 # CHECK is one of fib_identity, jsonl_decode_identity,
-# study_jobs_identity or rejects_bad_flags.
+# study_jobs_identity, shards_csv_identity or rejects_bad_flags.
 cmake_minimum_required(VERSION 3.16)
 
 foreach(var CHECK WORK SIMULATE LATENCY_STUDY QUARTZ_SERVE QUARTZ_DECODE)
@@ -87,6 +87,36 @@ elseif(CHECK STREQUAL "study_jobs_identity")
       --metrics-out=jobs2.csv --telemetry=jsonl --jobs=2)
   same(jobs1.csv.events.jsonl jobs2.csv.events.jsonl "latency_study JSONL at --jobs=1 vs 2")
   same(jobs1.csv jobs2.csv "latency_study metrics at --jobs=1 vs 2")
+
+elseif(CHECK STREQUAL "shards_csv_identity")
+  # The sharded engine's CSV row holds simulated outputs only (events/s
+  # goes to stderr), so a rerun prints the same bytes, and the delivery
+  # digest is the same at every shard count.
+  set(storm --topology=composite:ring-of-rings:4x4@2 --duration-ms=2 --csv)
+  run(shards2a.csv ${SIMULATE} ${storm} --shards=2)
+  run(shards2b.csv ${SIMULATE} ${storm} --shards=2)
+  same(shards2a.csv shards2b.csv "simulate --shards=2 --csv rerun")
+  run(shards1.csv ${SIMULATE} ${storm} --shards=1)
+  # digest(<csv> <var>): the delivery_digest cell of the CSV's one row.
+  function(digest csv var)
+    file(STRINGS ${WORK}/${csv} rows)
+    list(GET rows 0 header)
+    list(GET rows 1 row)
+    string(REPLACE "," ";" header "${header}")
+    string(REPLACE "," ";" row "${row}")
+    list(FIND header delivery_digest column)
+    if(column LESS 0)
+      message(FATAL_ERROR "${csv} has no delivery_digest column")
+    endif()
+    list(GET row ${column} value)
+    set(${var} ${value} PARENT_SCOPE)
+  endfunction()
+  digest(shards1.csv digest1)
+  digest(shards2a.csv digest2)
+  if(NOT digest1 STREQUAL digest2)
+    message(FATAL_ERROR "delivery_digest differs: ${digest1} at --shards=1, ${digest2} at 2")
+  endif()
+  message(STATUS "delivery_digest ${digest1} at --shards=1 and 2")
 
 elseif(CHECK STREQUAL "rejects_bad_flags")
   foreach(cli ${SIMULATE} ${LATENCY_STUDY} ${QUARTZ_SERVE})

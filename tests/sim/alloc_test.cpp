@@ -11,6 +11,7 @@
 // measured by the bench/suite workloads (engine.ns_per_event), not here.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 
 #include "sim/event_queue.hpp"
@@ -48,6 +49,7 @@ class TypedReplay final : public EventHandler, public TimerHandler {
 
   std::uint64_t events_run() const { return queue_.events_run(); }
   std::uint64_t delivered() const { return delivered_; }
+  std::size_t packet_slots() const { return queue_.packet_pool_capacity(); }
 
  private:
   /// One flow's packet arrival; chains the flow's next.
@@ -111,6 +113,22 @@ TEST(EngineAllocation, WarmTypedReplayAllocatesNothing) {
   // a delivery: 4 to 8 events.
   EXPECT_GE(replay.events_run() - warm_events, 4 * kPackets);
   EXPECT_EQ(allocs, 0u) << "the warm typed engine allocated in steady state";
+}
+
+TEST(EngineAllocation, ColdBurstAllocatesLogarithmically) {
+  // A cold engine grows its free lists, heaps and wheel-node array by
+  // doubling and its slot pools by fixed-size blocks, so a Fig. 18-shaped
+  // burst costs a handful of allocations per doubling of its high-water
+  // mark, not one or more per calendar bucket it touches (the wheel has
+  // 512, and this burst touches every one).
+  const std::uint64_t before = alloc_count();
+  TypedReplay replay;
+  replay.run(20'000);
+  const std::uint64_t allocs = alloc_count() - before;
+  const std::size_t high_water = replay.packet_slots();
+  ASSERT_GT(high_water, 100u);
+  EXPECT_LE(allocs, 6 * std::bit_width(high_water))
+      << "high-water mark " << high_water << " packet slots";
 }
 
 }  // namespace
